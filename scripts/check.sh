@@ -16,6 +16,7 @@
 #   ./scripts/check.sh          # all four tiers
 #   ./scripts/check.sh --fast   # tier 1 + lint only
 #   ./scripts/check.sh --lint   # lint only (assumes an existing build/)
+#   ./scripts/check.sh --golden # bench stdout vs bench/golden/*.txt
 #
 # Suites also carry ctest labels for targeted runs from build/:
 #   ctest -L plan | -L fault | -L sim | -L net    # one subsystem's suite
@@ -26,12 +27,14 @@ cd "$(dirname "$0")/.."
 
 fast=0
 lint_only=0
+golden_only=0
 for arg in "$@"; do
     case "$arg" in
     --fast) fast=1 ;;
     --lint) lint_only=1 ;;
+    --golden) golden_only=1 ;;
     *)
-        echo "usage: $0 [--fast|--lint]" >&2
+        echo "usage: $0 [--fast|--lint|--golden]" >&2
         exit 2
         ;;
     esac
@@ -58,6 +61,40 @@ run_lint() {
         echo "== lint: clang-tidy not installed; skipping tidy pass =="
     fi
 }
+
+# The deterministic sub-second benches: their stdout must match the
+# checked-in captures byte for byte, so a refactor that claims
+# bit-identical output is checked mechanically. Regenerate a capture only
+# with a change that is meant to move the numbers, and say why.
+golden_benches=(
+    bench_fig3_nc_sweep bench_fig4_grad_memory bench_fig9_pp_schedules
+    bench_fig10_balanced_pp bench_fig11_cp_hfu bench_fig13_cp_vs_ring
+    bench_fig14_imbalance bench_sec52_ordering bench_table2_planner
+    bench_tp_ablation bench_section8_hw bench_multimodal_encoder
+    bench_e2e_throughput
+)
+
+run_golden() {
+    echo "== golden: bench stdout vs bench/golden/ =="
+    cmake --preset default
+    cmake --build --preset default -j "${jobs}" --target "${golden_benches[@]}"
+    local failed=0
+    for bench in "${golden_benches[@]}"; do
+        if diff -u "bench/golden/${bench}.txt" <("./build/bench/${bench}"); then
+            echo "ok   ${bench}"
+        else
+            echo "FAIL ${bench}: stdout differs from bench/golden/${bench}.txt"
+            failed=1
+        fi
+    done
+    return "${failed}"
+}
+
+if [[ "${golden_only}" -eq 1 ]]; then
+    run_golden
+    echo "Golden bench output matches."
+    exit 0
+fi
 
 if [[ "${lint_only}" -eq 1 ]]; then
     run_lint

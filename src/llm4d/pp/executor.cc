@@ -1,6 +1,9 @@
 #include "llm4d/pp/executor.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "llm4d/pp/legality.h"
 #include "llm4d/simcore/common.h"
@@ -66,31 +69,104 @@ ExecResult::opEnd(std::int64_t rank, PipeOpKind kind, std::int64_t vstage,
 std::int64_t
 ExecResult::peakInFlight(std::int64_t rank) const
 {
-    // Events in record order (already time-sorted): forward start +1 at
-    // its start, backward completion -1 at its end. Replay sorted by the
-    // relevant timestamp.
-    std::vector<std::pair<Time, int>> events;
-    for (const OpRecord &rec : records) {
-        if (rec.rank != rank)
-            continue;
-        if (rec.op.kind == PipeOpKind::Forward)
-            events.emplace_back(rec.start, +1);
-        else
-            events.emplace_back(rec.end, -1);
-    }
-    std::sort(events.begin(), events.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second < b.second; // frees before allocs on tie
-              });
+    LLM4D_ASSERT(rank >= 0 &&
+                     rank < static_cast<std::int64_t>(peak_in_flight.size()),
+                 "pp rank out of range");
+    return peak_in_flight[static_cast<std::size_t>(rank)];
+}
+
+namespace {
+
+/**
+ * Peak in-flight count over one rank's records in program order: +1 at a
+ * forward's start, -1 at a backward's end, frees before allocs on a tie.
+ * Both streams are nondecreasing in program order (an op starts no earlier
+ * than its predecessor ends), so a two-cursor merge replaces a sort.
+ */
+std::int64_t
+rankPeakInFlight(const OpRecord *first, const OpRecord *last)
+{
+    auto next = [last](const OpRecord *rec, PipeOpKind kind) {
+        while (rec != last && rec->op.kind != kind)
+            ++rec;
+        return rec;
+    };
+    const OpRecord *fwd = next(first, PipeOpKind::Forward);
+    const OpRecord *bwd = next(first, PipeOpKind::Backward);
     std::int64_t live = 0, peak = 0;
-    for (const auto &[t, delta] : events) {
-        live += delta;
-        peak = std::max(peak, live);
+    while (fwd != last) {
+        if (bwd != last && bwd->end <= fwd->start) {
+            --live;
+            bwd = next(bwd + 1, PipeOpKind::Backward);
+        } else {
+            peak = std::max(peak, ++live);
+            fwd = next(fwd + 1, PipeOpKind::Forward);
+        }
     }
     return peak;
 }
+
+/**
+ * Reorder rank-major @p records (rank r's ops at [base[r], base[r + 1]) in
+ * program order) into (start, rank, program order). Each rank's run is
+ * already sorted by start, so a min-heap over the per-rank cursors yields
+ * each record's final slot; the permutation is then applied in place.
+ */
+void
+mergeByStart(std::vector<OpRecord> &records,
+             const std::vector<std::size_t> &base)
+{
+    struct Head
+    {
+        Time start;
+        std::size_t rank;
+    };
+    auto after = [](const Head &a, const Head &b) {
+        return a.start != b.start ? a.start > b.start : a.rank > b.rank;
+    };
+    std::vector<std::size_t> cursor(base.begin(), base.end() - 1);
+    std::vector<Head> heap;
+    for (std::size_t r = 0; r < cursor.size(); ++r) {
+        if (cursor[r] < base[r + 1])
+            heap.push_back(Head{records[cursor[r]].start, r});
+    }
+    std::make_heap(heap.begin(), heap.end(), after);
+
+    // 32-bit slots keep the extra memory at a twelfth of the records'.
+    LLM4D_ASSERT(records.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 "too many records for 32-bit slots");
+    std::vector<std::uint32_t> slot(records.size());
+    for (std::uint32_t next_slot = 0; !heap.empty(); ++next_slot) {
+        const std::size_t r = heap.front().rank;
+        slot[cursor[r]++] = next_slot;
+        if (cursor[r] == base[r + 1]) {
+            std::pop_heap(heap.begin(), heap.end(), after);
+            heap.pop_back();
+            continue;
+        }
+        // Replace the top with the rank's next record and sift it down.
+        const Head head{records[cursor[r]].start, r};
+        std::size_t i = 0;
+        for (std::size_t c = 1; c < heap.size(); c = 2 * i + 1) {
+            if (c + 1 < heap.size() && after(heap[c], heap[c + 1]))
+                ++c;
+            if (!after(head, heap[c]))
+                break;
+            heap[i] = heap[c];
+            i = c;
+        }
+        heap[i] = head;
+    }
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        while (slot[i] != i) {
+            const std::size_t j = slot[i];
+            std::swap(records[i], records[j]);
+            std::swap(slot[i], slot[j]);
+        }
+    }
+}
+
+} // namespace
 
 ExecResult
 executeSchedule(const Schedule &schedule, const ExecConfig &config)
@@ -114,6 +190,14 @@ executeSchedule(const Schedule &schedule, const ExecConfig &config)
 
     ExecResult result;
     result.busy.assign(static_cast<std::size_t>(p.pp), 0);
+    // Records are written rank-major: rank r's ops fill
+    // [base[r], base[r + 1]) in program order.
+    std::vector<std::size_t> base(static_cast<std::size_t>(p.pp) + 1, 0);
+    for (std::int64_t r = 0; r < p.pp; ++r) {
+        base[static_cast<std::size_t>(r) + 1] =
+            base[static_cast<std::size_t>(r)] + schedule.program(r).size();
+    }
+    result.records.resize(base.back());
 
     // Topological sweep: process each op once its dependency has a
     // computed end time. Times are DAG-determined, so sweep order does
@@ -176,25 +260,24 @@ executeSchedule(const Schedule &schedule, const ExecConfig &config)
                 (op.kind == PipeOpKind::Forward ? fwd_end
                                                 : bwd_end)[cell(g, op.mb)] =
                     end;
-                result.records.push_back(OpRecord{r, op, start, end});
+                result.records[base[static_cast<std::size_t>(r)] +
+                               cursor] = OpRecord{r, op, start, end};
                 result.makespan = std::max(result.makespan, end);
                 ++cursor;
                 progress = true;
             }
         }
     }
+    result.peak_in_flight.resize(static_cast<std::size_t>(p.pp));
     for (std::int64_t r = 0; r < p.pp; ++r) {
-        LLM4D_ASSERT(pc[static_cast<std::size_t>(r)] ==
-                         schedule.program(r).size(),
+        const auto ur = static_cast<std::size_t>(r);
+        LLM4D_ASSERT(pc[ur] == schedule.program(r).size(),
                      "executor stalled despite legality check");
+        result.peak_in_flight[ur] =
+            rankPeakInFlight(result.records.data() + base[ur],
+                             result.records.data() + base[ur + 1]);
     }
-
-    std::sort(result.records.begin(), result.records.end(),
-              [](const OpRecord &a, const OpRecord &b) {
-                  if (a.start != b.start)
-                      return a.start < b.start;
-                  return a.rank < b.rank;
-              });
+    mergeByStart(result.records, base);
     return result;
 }
 

@@ -62,9 +62,15 @@ struct OpRecord
 /** Result of executing a schedule. */
 struct ExecResult
 {
-    std::vector<OpRecord> records; ///< sorted by (start, rank, op order)
+    /**
+     * Every executed op, sorted by (start, rank, program order): records
+     * with equal start are ordered by rank, and one rank's records keep
+     * program order even when zero-duration ops share a start.
+     */
+    std::vector<OpRecord> records;
     Time makespan = 0;
     std::vector<Time> busy;        ///< per-rank total compute time
+    std::vector<std::int64_t> peak_in_flight; ///< per rank, see peakInFlight
 
     /** Idle-over-compute bubble ratio of one rank (paper Section 3.1.1). */
     double bubbleRatio(std::int64_t rank) const;
@@ -82,12 +88,18 @@ struct ExecResult
     /**
      * Peak number of simultaneously in-flight micro-batches on a rank:
      * forwards executed minus backwards completed, maximized over time.
-     * This drives activation memory (Section 3.1.1).
+     * This drives activation memory (Section 3.1.1). Frees sort before
+     * allocs on a tie. Computed once by executeSchedule; O(1) lookup.
      */
     std::int64_t peakInFlight(std::int64_t rank) const;
 };
 
-/** Execute @p schedule under @p config. Aborts on illegal schedules. */
+/**
+ * Execute @p schedule under @p config. Aborts on illegal schedules
+ * (checkSchedule runs first). Each rank's records leave the dependency
+ * sweep in start order and are merged across ranks in O(ops log pp); there
+ * is no global sort.
+ */
 ExecResult executeSchedule(const Schedule &schedule,
                            const ExecConfig &config);
 

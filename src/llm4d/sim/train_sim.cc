@@ -108,22 +108,28 @@ TrainSim::run() const
     // price the worst shard of each sampled mask (Section 4).
     std::vector<double> mb_pairs(static_cast<std::size_t>(nmb_));
     {
-        Rng rng(cfg.seed, rng_streams::kDocMaskSampleStream);
-        for (std::int64_t m = 0; m < nmb_; ++m) {
-            DocMask mask =
-                cfg.doc_mask_mean > 0.0
-                    ? DocMask::sample(cfg.seq, cfg.doc_mask_mean, rng)
-                    : DocMask::causal(cfg.seq);
+        const CpSharding sharding(cfg.seq, cfg.par.cp);
+        auto worst_shard_pairs = [&](const DocMask &mask) {
+            if (cfg.par.cp == 1)
+                return mask.totalPairs();
             std::int64_t pairs = 0;
-            if (cfg.par.cp == 1) {
-                pairs = mask.totalPairs();
-            } else {
-                const CpSharding sharding(cfg.seq, cfg.par.cp);
-                for (std::int64_t r = 0; r < cfg.par.cp; ++r)
-                    pairs = std::max(pairs, sharding.pairsOf(r, mask));
+            for (std::int64_t r = 0; r < cfg.par.cp; ++r)
+                pairs = std::max(pairs, sharding.pairsOf(r, mask));
+            return pairs;
+        };
+        if (cfg.doc_mask_mean > 0.0) {
+            Rng rng(cfg.seed, rng_streams::kDocMaskSampleStream);
+            for (double &pairs : mb_pairs) {
+                pairs = static_cast<double>(worst_shard_pairs(DocMask::sample(
+                            cfg.seq, cfg.doc_mask_mean, rng))) *
+                        cfg.mbs;
             }
-            mb_pairs[static_cast<std::size_t>(m)] =
-                static_cast<double>(pairs) * cfg.mbs;
+        } else {
+            // The causal mask draws nothing: every micro-batch is alike.
+            std::fill(mb_pairs.begin(), mb_pairs.end(),
+                      static_cast<double>(worst_shard_pairs(
+                          DocMask::causal(cfg.seq))) *
+                          cfg.mbs);
         }
     }
 
@@ -268,10 +274,21 @@ TrainSim::run() const
         sc.bwd_seconds *= table.mb_bwd_scale[static_cast<std::size_t>(mb)];
         return sc;
     };
-    exec_cfg.p2p_seconds = [&](std::int64_t from, std::int64_t to) {
+    // Hand-off price per (from, to) PP rank pair, priced once per run.
+    const auto pp = static_cast<std::size_t>(cfg.par.pp);
+    std::vector<double> p2p_table(pp * pp);
+    for (std::int64_t from = 0; from < cfg.par.pp; ++from) {
         const std::int64_t src = grid.rankOf(RankCoord{0, 0, from, 0});
-        const std::int64_t dst = grid.rankOf(RankCoord{0, 0, to, 0});
-        return coll.p2p(src, dst, boundary_bytes) * congestion;
+        for (std::int64_t to = 0; to < cfg.par.pp; ++to) {
+            const std::int64_t dst = grid.rankOf(RankCoord{0, 0, to, 0});
+            p2p_table[static_cast<std::size_t>(from) * pp +
+                      static_cast<std::size_t>(to)] =
+                coll.p2p(src, dst, boundary_bytes) * congestion;
+        }
+    }
+    exec_cfg.p2p_seconds = [&](std::int64_t from, std::int64_t to) {
+        return p2p_table[static_cast<std::size_t>(from) * pp +
+                         static_cast<std::size_t>(to)];
     };
     const ExecResult exec = executeSchedule(schedule, exec_cfg);
 

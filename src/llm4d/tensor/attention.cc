@@ -72,11 +72,14 @@ referenceAttention(const Tensor &q, const Tensor &k, const Tensor &v,
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
             const std::int64_t qp = queryPos(q_pos, i);
+            // mask.allowed(qp, kp) is kp in [q_doc, qp]; the doc start is
+            // a binary search, so it is looked up once per query row.
+            const std::int64_t q_doc = mask.docStart(qp);
             // Scores over attendable keys.
             float row_max = kNegInf;
             for (std::int64_t j = 0; j < s.skv; ++j) {
                 const std::int64_t kp = k_offset + j;
-                if (!mask.allowed(qp, kp)) {
+                if (kp > qp || kp < q_doc) {
                     scores[static_cast<std::size_t>(j)] = kNegInf;
                     continue;
                 }
@@ -132,6 +135,9 @@ flashAttention(const Tensor &q, const Tensor &k, const Tensor &v,
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
             const std::int64_t qp = queryPos(q_pos, i);
+            // mask.allowed(qp, kp) is kp in [q_doc, qp]; the doc start is
+            // a binary search, so it is looked up once per query row.
+            const std::int64_t q_doc = mask.docStart(qp);
             // Online softmax state.
             double m = kNegInf; // running max
             double l = 0.0;     // running sum of exp(score - m)
@@ -143,7 +149,7 @@ flashAttention(const Tensor &q, const Tensor &k, const Tensor &v,
                 for (std::int64_t j = t0; j < t1; ++j) {
                     const std::int64_t kp = k_offset + j;
                     float sc = kNegInf;
-                    if (mask.allowed(qp, kp)) {
+                    if (kp <= qp && kp >= q_doc) {
                         double dot = 0.0;
                         for (std::int64_t e = 0; e < s.d; ++e)
                             dot += static_cast<double>(q.at(h, i, e)) *
@@ -254,11 +260,14 @@ referenceAttentionBackward(const Tensor &q, const Tensor &k, const Tensor &v,
         const std::int64_t kh = h / s.group;
         for (std::int64_t i = 0; i < s.sq; ++i) {
             const std::int64_t qp = queryPos(q_pos, i);
+            // mask.allowed(qp, kp) is kp in [q_doc, qp]; the doc start is
+            // a binary search, so it is looked up once per query row.
+            const std::int64_t q_doc = mask.docStart(qp);
             // Recompute the softmax row (as a backward kernel would).
             double row_max = kNegInf;
             for (std::int64_t j = 0; j < s.skv; ++j) {
                 const std::int64_t kp = k_offset + j;
-                if (!mask.allowed(qp, kp)) {
+                if (kp > qp || kp < q_doc) {
                     probs[static_cast<std::size_t>(j)] = kNegInf;
                     continue;
                 }

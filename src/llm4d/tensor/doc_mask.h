@@ -12,8 +12,18 @@
  * shared source of truth for (a) executable attention correctness, (b) the
  * per-rank compute workload model behind the paper's imbalance results
  * (Figures 11 and 14).
+ *
+ * Layout: cumulative document offsets, cu = {0, len0, len0+len1, ..., seq}
+ * (the `q_cu_lens` array of variable-length attention kernels, SNIPPETS.md
+ * snippet 2). Storage is O(docs), not O(seq). With D documents in total
+ * and d of them overlapping the queried range:
+ *  - docStart(q), span(q), allowed(q, k): O(log D) binary search;
+ *  - pairsInQueryRange, pairsBetween: O(log D + d), one closed-form
+ *    arithmetic series per overlapping document;
+ *  - totalPairs: O(D); docIds(): O(seq), materialized on demand.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -58,10 +68,10 @@ class DocMask
                                    double sigma, Rng &rng);
 
     /** Sequence length covered by the mask. */
-    Index seq() const { return static_cast<Index>(docId_.size()); }
+    Index seq() const { return cu_.back(); }
 
     /** Number of documents packed in the sequence. */
-    Index docCount() const { return docStartOf_.empty() ? 0 : nDocs_; }
+    Index docCount() const { return static_cast<Index>(cu_.size()) - 1; }
 
     /** First attendable key position for query position @p q. */
     Index docStart(Index q) const;
@@ -95,16 +105,17 @@ class DocMask
      */
     Index pairsBetween(Index q_lo, Index q_hi, Index k_lo, Index k_hi) const;
 
-    /** Document id of each token. */
-    const std::vector<Index> &docIds() const { return docId_; }
+    /** Document id of each token (derived from the offsets, O(seq)). */
+    std::vector<Index> docIds() const;
 
   private:
-    DocMask(std::vector<Index> doc_id, std::vector<Index> doc_start,
-            Index n_docs);
+    /** @param cu cumulative offsets: cu[0] == 0, strictly increasing. */
+    explicit DocMask(std::vector<Index> cu);
 
-    std::vector<Index> docId_;      ///< document id per token
-    std::vector<Index> docStartOf_; ///< first token position per token's doc
-    Index nDocs_ = 0;
+    /** Index of the document holding position @p q. */
+    std::size_t docOf(Index q) const;
+
+    std::vector<Index> cu_; ///< document d spans [cu_[d], cu_[d + 1])
 };
 
 } // namespace llm4d

@@ -188,5 +188,44 @@ TEST(Executor, PerMicroBatchCostVariation)
     EXPECT_GT(r.makespan, uniform.makespan / 2);
 }
 
+TEST(Executor, ZeroDurationTiesKeepProgramOrder)
+{
+    // Zero-cost ops all start at t = 0 (forwards) or share a start with
+    // their neighbours (zero backwards). Records with equal start must be
+    // ordered by rank and, within a rank, by program order: gradient
+    // memory walks a rank's records in this order to decide when a
+    // buffer first materializes.
+    const ScheduleParams p{4, 2, 8, 4};
+    const Schedule s = buildFlexible(p);
+    for (const ExecConfig &cfg :
+         {ExecConfig::uniform(0.0, 0.0, 0.0),
+          ExecConfig::uniform(0.0, kB, 0.0)}) {
+        const ExecResult r = executeSchedule(s, cfg);
+        ASSERT_EQ(r.records.size(),
+                  static_cast<std::size_t>(2 * p.pp * p.tmb()));
+        std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
+        for (std::size_t i = 0; i < r.records.size(); ++i) {
+            const OpRecord &rec = r.records[i];
+            auto &next = pc[static_cast<std::size_t>(rec.rank)];
+            ASSERT_EQ(rec.op, s.program(rec.rank)[next]) << "record " << i;
+            ++next;
+            if (i == 0)
+                continue;
+            const OpRecord &prev = r.records[i - 1];
+            ASSERT_LE(prev.start, rec.start) << "record " << i;
+            if (prev.start == rec.start) {
+                ASSERT_LE(prev.rank, rec.rank) << "record " << i;
+            }
+        }
+    }
+    // All-zero costs: everything starts at 0, so the records are rank 0's
+    // whole program, then rank 1's, and so on.
+    const ExecResult zero =
+        executeSchedule(s, ExecConfig::uniform(0.0, 0.0, 0.0));
+    EXPECT_EQ(zero.makespan, 0);
+    EXPECT_EQ(zero.records.front().rank, 0);
+    EXPECT_EQ(zero.records.back().rank, p.pp - 1);
+}
+
 } // namespace
 } // namespace llm4d
