@@ -62,16 +62,18 @@ run_lint() {
     fi
 }
 
-# The deterministic sub-second benches: their stdout must match the
-# checked-in captures byte for byte, so a refactor that claims
-# bit-identical output is checked mechanically. Regenerate a capture only
-# with a change that is meant to move the numbers, and say why.
+# The deterministic benches: their stdout must match the checked-in
+# captures byte for byte, so a refactor that claims bit-identical output
+# is checked mechanically. All run in under a second except
+# bench_goodput (~1 s) and bench_goodput_planner (~2.5 s), the only two
+# that run TrainRunSim. Regenerate a capture only with a change that is
+# meant to move the numbers, and say why.
 golden_benches=(
     bench_fig3_nc_sweep bench_fig4_grad_memory bench_fig9_pp_schedules
     bench_fig10_balanced_pp bench_fig11_cp_hfu bench_fig13_cp_vs_ring
     bench_fig14_imbalance bench_sec52_ordering bench_table2_planner
     bench_tp_ablation bench_section8_hw bench_multimodal_encoder
-    bench_e2e_throughput
+    bench_e2e_throughput bench_goodput bench_goodput_planner
 )
 
 run_golden() {

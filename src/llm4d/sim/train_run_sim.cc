@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <optional>
 
 #include "llm4d/net/flow_sim.h"
 #include "llm4d/net/topology.h"
@@ -20,6 +22,29 @@ double trainrun_lost_skew_seconds = 0.0;
 namespace {
 
 constexpr double kSecondsPerHour = 3600.0;
+
+/**
+ * One stage of the run's work ledger: completed steps with their
+ * base-speed and degradation seconds. Stages hand work on only through
+ * absorb(), so a move can never leave a stage half-updated.
+ */
+struct Work
+{
+    std::int64_t steps = 0;
+    double base_s = 0.0;
+    double extra_s = 0.0;
+
+    /** Add @p from into this stage, then zero @p from. */
+    void absorb(Work &from)
+    {
+        steps += from.steps;
+        base_s += from.base_s;
+        extra_s += from.extra_s;
+        from = Work{};
+    }
+
+    bool operator==(const Work &) const = default;
+};
 
 TrainRunConfig
 validated(TrainRunConfig cfg)
@@ -177,13 +202,6 @@ TrainRunSim::degradedStepSeconds(
     return degraded_cache_[key];
 }
 
-double
-TrainRunSim::degradedStepSeconds(std::int64_t straggler_rank,
-                                 double speed) const
-{
-    return degradedStepSeconds({{straggler_rank, speed}});
-}
-
 bool
 TrainRunSim::canShrinkTo(std::int64_t dp) const
 {
@@ -232,63 +250,23 @@ TrainRunSim::stepReportAtDp(std::int64_t dp) const
 }
 
 double
-TrainRunSim::stepSecondsAtDp(std::int64_t dp) const
+TrainRunSim::nicSlowdown(double capacity) const
 {
-    if (dp == cfg_.job.par.dp)
-        return base_.step_seconds;
-    return std::max(stepReportAtDp(dp).step_seconds, base_.step_seconds);
-}
-
-double
-TrainRunSim::displacementSlowdown() const
-{
-    if (displacement_slowdown_ > 0.0)
-        return displacement_slowdown_;
-    // NIC-bound share of the step (same derivation as the flap path):
-    // FSDP + CP exposure crosses the NICs; TP stays NVLink-local.
+    // Share of the step a NIC slowdown can stretch: traffic that crosses
+    // the NICs and sits on the critical path (FSDP + CP exposure). TP is
+    // NVLink-local and immune. Floor at 2% for PP P2P and infra traffic
+    // that the step report does not itemize.
     const double nic_share = std::clamp(
         (base_.exposed_fsdp_seconds + base_.exposed_cp_seconds) /
             base_.step_seconds,
         0.02, 0.9);
-    // The displaced rank's DP traffic crosses the spine, which offers
-    // 1/oversubscription of the pod-local NIC capacity. Price the
-    // transfer-level stretch through the same FlowSim
-    // capacity-reduction machinery as a link flap.
+    // Transfer-level slowdown at the reduced capacity, measured through
+    // the flow simulator's capacity-reduction machinery.
     const double nic_bps = cfg_.job.cluster.node.gpu.nic_bw_gbps * 1e9;
-    const double spine_capacity =
-        1.0 / cfg_.job.cluster.spine_oversubscription;
     const double xfer_slowdown = flapSlowdownFactor(
-        nic_bps, nic_bps /* a 1-second reference transfer */,
-        spine_capacity, 0, secondsToTime(1e6));
-    displacement_slowdown_ = 1.0 + (xfer_slowdown - 1.0) * nic_share;
-    return displacement_slowdown_;
-}
-
-const TrainStepReport &
-TrainRunSim::stepReportAtPlacement(std::int64_t dp) const
-{
-    const auto it = displaced_report_cache_.find(dp);
-    if (it != displaced_report_cache_.end())
-        return it->second;
-    // Synchronized training: one displaced rank stretches its DP
-    // group's collectives over the spine and the whole step waits.
-    TrainStepReport degraded = stepReportAtDp(dp);
-    const double slowdown = displacementSlowdown();
-    degraded.step_seconds *= slowdown;
-    degraded.tflops_per_gpu /= slowdown;
-    degraded.mfu /= slowdown;
-    return displaced_report_cache_.emplace(dp, degraded).first->second;
-}
-
-double
-TrainRunSim::migrateHomeSeconds() const
-{
-    if (migrate_home_seconds_ >= 0.0)
-        return migrate_home_seconds_;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::MigrateHome;
-    migrate_home_seconds_ = recovery_.price(req).totalSeconds();
-    return migrate_home_seconds_;
+        nic_bps, nic_bps /* a 1-second reference transfer */, capacity, 0,
+        secondsToTime(1e6));
+    return 1.0 + (xfer_slowdown - 1.0) * nic_share;
 }
 
 const TrainRunSim::CkptCosts &
@@ -326,48 +304,20 @@ TrainRunSim::checkpointCostsAt(std::int64_t dp) const
     return ckpt_cost_cache_.emplace(dp, costs).first->second;
 }
 
-double
-TrainRunSim::shrinkSecondsTo(std::int64_t dp) const
+const CostBreakdown &
+TrainRunSim::recoveryCost(RecoveryCostRequest::Kind kind, std::int64_t to_dp,
+                          CheckpointTier restore_tier) const
 {
-    const auto it = shrink_cost_cache_.find(dp);
-    if (it != shrink_cost_cache_.end())
+    const RecoveryCostKey key{kind, to_dp, restore_tier};
+    const auto it = recovery_cost_cache_.find(key);
+    if (it != recovery_cost_cache_.end())
         return it->second;
     RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Shrink;
-    req.to_dp = dp;
-    req.restore_tier = CheckpointTier::Global;
-    const double seconds = recovery_.price(req).totalSeconds();
-    shrink_cost_cache_[dp] = seconds;
-    return seconds;
-}
-
-double
-TrainRunSim::shrinkHbmSecondsTo(std::int64_t dp) const
-{
-    const auto it = shrink_hbm_cost_cache_.find(dp);
-    if (it != shrink_hbm_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Shrink;
-    req.to_dp = dp;
-    req.restore_tier = CheckpointTier::HbmPeer;
-    const double seconds = recovery_.price(req).totalSeconds();
-    shrink_hbm_cost_cache_[dp] = seconds;
-    return seconds;
-}
-
-double
-TrainRunSim::regrowSecondsTo(std::int64_t dp) const
-{
-    const auto it = regrow_cost_cache_.find(dp);
-    if (it != regrow_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = RecoveryCostRequest::Kind::Regrow;
-    req.to_dp = dp;
-    const double seconds = recovery_.price(req).totalSeconds();
-    regrow_cost_cache_[dp] = seconds;
-    return seconds;
+    req.kind = kind;
+    req.to_dp = to_dp;
+    req.restore_tier = restore_tier;
+    return recovery_cost_cache_.emplace(key, recovery_.price(req))
+        .first->second;
 }
 
 double
@@ -428,14 +378,6 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     const HierarchicalCheckpointSpec &hier = cfg_.storage.hier;
     const bool tiered = hier.enabled;
     const double base_step_s = base_.step_seconds;
-    // Share of the step a NIC flap can slow down: traffic that crosses
-    // the NICs and sits on the critical path (FSDP + CP exposure). TP is
-    // NVLink-local and immune. Floor at 2% for PP P2P and infra traffic
-    // that the step report does not itemize.
-    const double nic_share = std::clamp(
-        (base_.exposed_fsdp_seconds + base_.exposed_cp_seconds) /
-            base_step_s,
-        0.02, 0.9);
     const Time wall_limit =
         secondsToTime(cfg_.max_wall_days * 24.0 * kSecondsPerHour);
 
@@ -473,25 +415,22 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         Snapshot, ///< a snapshot wants the single host buffer
         Final,    ///< finish/eviction blocks until durability
     };
+    enum class RecoveryPath
+    {
+        Swap,    ///< claim a warm spare
+        Shrink,  ///< drop one DP replica
+        Restart, ///< stop-the-world restart
+    };
 
     // ---- Run state, mutated by the event handlers below. ----
-    std::int64_t committed = 0;        ///< steps durably in a checkpoint
-    std::int64_t done_since_ckpt = 0;  ///< completed, not yet snapshotted
-    double tentative_base_s = 0.0;     ///< base-speed part of those steps
-    double tentative_extra_s = 0.0;    ///< degradation part of those steps
-    std::int64_t pending_steps = 0;    ///< snapshotted, drain in flight
-    double pending_base_s = 0.0;
-    double pending_extra_s = 0.0;
-    // Hierarchical-tier coverage ledgers (always zero when !tiered).
-    // Ordering oldest -> newest: committed | pending | nv | local |
-    // tentative. "nv" steps are covered by the latest NVMe persist,
-    // "local" only by the latest HBM peer mirror.
-    std::int64_t nv_steps = 0;
-    double nv_base_s = 0.0;
-    double nv_extra_s = 0.0;
-    std::int64_t local_steps = 0;
-    double local_base_s = 0.0;
-    double local_extra_s = 0.0;
+    // The work ledger, oldest -> newest: committed | pending | nv |
+    // local | tentative. Work only moves forward (Work::absorb) or is
+    // rolled back; nv and local stay empty unless tiered.
+    std::int64_t committed = 0; ///< steps durably in a checkpoint
+    Work pending;   ///< snapshotted, drain in flight
+    Work nv;        ///< covered by the latest NVMe persist
+    Work local;     ///< covered only by the latest HBM peer mirror
+    Work tentative; ///< completed, not yet covered by any checkpoint
     std::int64_t ckpt_boundary = 0; ///< cadence counter, never rolled back
     std::int64_t dp_now = cfg_.job.par.dp;  ///< shrinks are persistent
     std::int64_t spares_left = pol.spare_hosts;
@@ -504,23 +443,20 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                          pol.spare_hosts);
     const bool placement_aware = pol.placementAware();
     std::int64_t displaced = 0; ///< ranks running on cross-pod spares
+    /** Step multiplier while any rank is displaced; priced on first use. */
+    std::optional<double> displaced_slowdown;
     std::int64_t warmup_left = 0;
-    bool running = false;   ///< a step or checkpoint event is in flight
-    bool down = false;      ///< between failure and restored service
-    bool paused = false;    ///< the outage is a pause, not a recovery
-    bool finished = false;
+    bool running = false;   ///< a step or checkpoint write is in flight
+    bool down = false;      ///< an outage (recovery or pause) is running
+    bool stopped = false;   ///< finished (rep.completed) or truncated
     bool finishing = false; ///< all steps done; final durability pending
-    bool truncated = false;
     Time stopped_at = 0;    ///< clock when the run ended (either way)
-    Time step_started = 0;
-    double step_len_s = 0.0; ///< duration of the in-flight step
-    EventId work_event = 0;  ///< pending step/checkpoint completion
+    Time work_started = 0;  ///< when the in-flight step or write began
+    EventId work_event = 0;  ///< its pending completion
     EventId resume_event = 0; ///< pending service restoration
     Time resume_at = 0;       ///< when that restoration fires
     double outage_rest_s = 0.0;        ///< recovery part of the outage
     double *outage_bucket = &rep.restart_seconds; ///< where it went
-    bool in_checkpoint = false;
-    Time ckpt_started = 0;
     bool drain_active = false;
     EventId drain_event = 0;
     AsyncWait wait = AsyncWait::None;
@@ -535,36 +471,21 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
 
     // Forward declarations so handlers can schedule each other.
     std::function<void()> schedule_step;
-    std::function<void(const FaultEvent &)> on_fault;
-    std::function<void()> start_snapshot;
     std::function<void()> on_drain_done;
-
-    const auto flap_multiplier = [&]() {
-        double worst_capacity = 1.0;
-        for (const auto &[rank, flap] : flaps) {
-            if (flap.until > eng.now())
-                worst_capacity = std::min(worst_capacity, flap.multiplier);
-        }
-        if (worst_capacity >= 1.0)
-            return 1.0;
-        // Transfer-level slowdown of the degraded NIC, measured through
-        // the flow simulator's capacity-reduction machinery.
-        const double nic_bps = cfg_.job.cluster.node.gpu.nic_bw_gbps * 1e9;
-        const double xfer_slowdown = flapSlowdownFactor(
-            nic_bps, nic_bps /* a 1-second reference transfer */,
-            worst_capacity, 0, secondsToTime(1e6));
-        return 1.0 + (xfer_slowdown - 1.0) * nic_share;
-    };
 
     const auto current_step_seconds = [&]() {
         // Any displaced rank stretches its DP group's collectives over
         // the oversubscribed spine; synchronized training makes the
         // whole step wait for it.
-        const double eff =
-            displaced > 0
-                ? std::max(stepReportAtPlacement(dp_now).step_seconds,
-                           base_step_s)
-                : stepSecondsAtDp(dp_now);
+        double placement = 1.0;
+        if (displaced > 0) {
+            if (!displaced_slowdown)
+                displaced_slowdown = nicSlowdown(
+                    1.0 / cfg_.job.cluster.spine_oversubscription);
+            placement = *displaced_slowdown;
+        }
+        const double eff = std::max(
+            stepReportAtDp(dp_now).step_seconds * placement, base_step_s);
         double s = eff;
         double worst_residual = 1.0;
         // Price the whole unmitigated set through one TrainSim rerun:
@@ -581,7 +502,14 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             s = std::max(s, eff * degradedStepSeconds(active) /
                                 base_step_s);
         s = std::max(s, eff * worst_residual);
-        s *= flap_multiplier();
+        // A flapping NIC runs at its worst active capacity.
+        double worst_capacity = 1.0;
+        for (const auto &[rank, flap] : flaps) {
+            if (flap.until > eng.now())
+                worst_capacity = std::min(worst_capacity, flap.multiplier);
+        }
+        if (worst_capacity < 1.0)
+            s *= nicSlowdown(worst_capacity);
         if (warmup_left > 0)
             s *= cfg_.restart.warmup_slowdown;
         if (drain_active)
@@ -590,64 +518,90 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     };
 
     const auto steps_done = [&]() {
-        return committed + pending_steps + nv_steps + local_steps +
-               done_since_ckpt;
+        return committed + pending.steps + nv.steps + local.steps +
+               tentative.steps;
     };
 
-    /** Sync-mode commit: the completed save makes everything durable
-     *  (with tiers, the global save also supersedes local coverage). */
-    const auto commit = [&](double save_s) {
-        rep.checkpoint_seconds += save_s;
-        committed += done_since_ckpt + local_steps + nv_steps;
-        rep.productive_seconds +=
-            tentative_base_s + local_base_s + nv_base_s;
-        rep.degraded_seconds +=
-            tentative_extra_s + local_extra_s + nv_extra_s;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        local_steps = 0;
-        local_base_s = 0.0;
-        local_extra_s = 0.0;
-        nv_steps = 0;
-        nv_base_s = 0.0;
-        nv_extra_s = 0.0;
+    /** Run a step or a checkpoint write of @p seconds; @p done runs when
+     *  it completes, unless interrupt() cancels it first. */
+    const auto start_work = [&](double seconds, auto done) {
+        work_started = eng.now();
+        running = true;
+        work_event = eng.schedule(secondsToTime(seconds), [&, done]() {
+            running = false;
+            done();
+        });
     };
 
-    const auto rollback = [&]() {
+    /** Fold the local-tier coverage forward: tentative -> local -> nv.
+     *  Each hop is one IEEE addition per field, so nv ends up holding
+     *  (tentative + local) + nv bit for bit. */
+    const auto fold_local = [&]() {
+        local.absorb(tentative);
+        nv.absorb(local);
+    };
+
+    /** @p work is now durable: count it as committed progress. */
+    const auto make_durable = [&](Work &work) {
+        committed += work.steps;
+        rep.productive_seconds += work.base_s;
+        rep.degraded_seconds += work.extra_s;
+        work = Work{};
+    };
+
+    /**
+     * Discard the work @p tier's restore point does not cover. Global
+     * destroys everything non-durable, including a snapshot whose drain
+     * is still writing. The local tiers keep more: the drain (a
+     * host-side checkpoint daemon writing from host DRAM) keeps running
+     * across GPU-level faults and even process restarts, so pending and
+     * NVMe-covered work survive; HbmPeer additionally keeps the
+     * HBM-mirror-covered steps (survivor processes stay live), losing
+     * only the tentative tail. Each tier keeps its own summation order.
+     */
+    const auto rollback = [&](CheckpointTier tier) {
 #if LLM4D_AUDIT_ENABLED
         // Rollback targets non-durable work only: committed steps are
-        // untouchable, and the lost-step ledger must grow by exactly the
-        // tentative + local-tier + pending steps being discarded.
+        // untouchable, the lost-step ledger must grow by exactly the
+        // stages being discarded, and the stages the tier's restore
+        // point covers must come through untouched.
         const std::int64_t audit_committed_before = committed;
-        const std::int64_t audit_expected_lost =
-            rep.steps_lost + done_since_ckpt + local_steps + nv_steps +
-            pending_steps;
+        const Work audit_pending = pending;
+        const Work audit_nv = nv;
+        const Work audit_local = local;
+        std::int64_t audit_expected_lost = rep.steps_lost + tentative.steps;
+        if (tier != CheckpointTier::HbmPeer)
+            audit_expected_lost += local.steps;
+        if (tier == CheckpointTier::Global)
+            audit_expected_lost += nv.steps + pending.steps;
 #endif
-        // Un-durable work is lost: the steps since the last snapshot,
-        // any snapshot whose drain has not finished, and (with tiers)
-        // all work covered only by the now-destroyed local copies.
-        if (drain_active) {
-            eng.cancel(drain_event);
-            drain_active = false;
+        if (tier == CheckpointTier::Global) {
+            if (drain_active) {
+                eng.cancel(drain_event);
+                drain_active = false;
+            }
+            rep.lost_seconds += tentative.base_s + tentative.extra_s +
+                                local.base_s + local.extra_s + nv.base_s +
+                                nv.extra_s + pending.base_s +
+                                pending.extra_s;
+            rep.steps_lost +=
+                tentative.steps + local.steps + nv.steps + pending.steps;
+            local = Work{};
+            nv = Work{};
+            pending = Work{};
+        } else {
+            double lost_s = tentative.base_s + tentative.extra_s;
+            std::int64_t lost = tentative.steps;
+            if (tier == CheckpointTier::HostLocal) {
+                // HBM-only coverage dies with the restarted processes.
+                lost_s += local.base_s + local.extra_s;
+                lost += local.steps;
+                local = Work{};
+            }
+            rep.lost_seconds += lost_s;
+            rep.steps_lost += lost;
         }
-        rep.lost_seconds += tentative_base_s + tentative_extra_s +
-                            local_base_s + local_extra_s + nv_base_s +
-                            nv_extra_s + pending_base_s + pending_extra_s;
-        rep.steps_lost +=
-            done_since_ckpt + local_steps + nv_steps + pending_steps;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        local_steps = 0;
-        local_base_s = 0.0;
-        local_extra_s = 0.0;
-        nv_steps = 0;
-        nv_base_s = 0.0;
-        nv_extra_s = 0.0;
-        pending_steps = 0;
-        pending_base_s = 0.0;
-        pending_extra_s = 0.0;
+        tentative = Work{};
         // A pending finish/eviction referred to steps just rolled back;
         // the re-executed steps must re-trigger it, or a later routine
         // snapshot would terminate the run early.
@@ -661,52 +615,30 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                           "rollback lost-step ledger off: "
                               << rep.steps_lost << " != expected "
                               << audit_expected_lost);
+        LLM4D_AUDIT_CHECK("sim",
+                          tier == CheckpointTier::Global ||
+                              (pending == audit_pending && nv == audit_nv),
+                          "a " << toString(tier)
+                               << " rollback touched the pending or NVMe "
+                                  "stage its restore point covers");
+        LLM4D_AUDIT_CHECK("sim",
+                          tier != CheckpointTier::HbmPeer ||
+                              local == audit_local,
+                          "an HbmPeer rollback touched the mirrored stage");
     };
 
-    /**
-     * Tier-aware rollback. Global destroys everything non-durable
-     * (pre-existing behavior). The local tiers keep more: the drain (a
-     * host-side checkpoint daemon writing from host DRAM) keeps running
-     * across GPU-level faults and even process restarts, so pending and
-     * NVMe-covered work survive; HbmPeer additionally keeps the
-     * HBM-mirror-covered steps (survivor processes stay live), losing
-     * only the tentative tail.
-     */
-    const auto rollback_to_tier = [&](CheckpointTier tier) {
-        if (tier == CheckpointTier::Global) {
-            rollback();
-            return;
-        }
-        double lost_s = tentative_base_s + tentative_extra_s;
-        std::int64_t lost = done_since_ckpt;
-        done_since_ckpt = 0;
-        tentative_base_s = 0.0;
-        tentative_extra_s = 0.0;
-        if (tier == CheckpointTier::HostLocal) {
-            // HBM-only coverage dies with the restarted processes.
-            lost_s += local_base_s + local_extra_s;
-            lost += local_steps;
-            local_steps = 0;
-            local_base_s = 0.0;
-            local_extra_s = 0.0;
-        }
-        rep.lost_seconds += lost_s;
-        rep.steps_lost += lost;
-        // Same re-trigger rule as the global rollback.
-        finishing = false;
-        evict_rank = -1;
-    };
-
-    /** Service outage: detection, then @p rest_s of recovery work
-     *  charged to @p bucket. Both are charged upfront and refunded if a
+    /** Service outage: @p detection_s of detection, then @p rest_s of
+     *  recovery work charged to @p bucket; @p warmup restarts the slow
+     *  warmup steps. Both parts are charged upfront and refunded if a
      *  back-to-back failure cuts the outage short. */
     const auto begin_outage = [&](double detection_s, double rest_s,
-                                  double *bucket) {
+                                  double *bucket, bool warmup) {
         rep.detection_seconds += detection_s;
         *bucket += rest_s;
         outage_rest_s = rest_s;
         outage_bucket = bucket;
-        warmup_left = cfg_.restart.warmup_steps;
+        if (warmup)
+            warmup_left = cfg_.restart.warmup_steps;
         down = true;
         running = false;
         const double outage_s = detection_s + rest_s;
@@ -728,6 +660,40 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         down = false;
     };
 
+    /** Charge the elapsed wait on an async drain and stop waiting. */
+    const auto end_stall = [&]() {
+        rep.drain_stall_seconds += timeToSeconds(eng.now() - stall_started);
+        wait = AsyncWait::None;
+    };
+
+    /** Stop whatever is in flight: the elapsed part of a drain stall is
+     *  real wall time, a partial step or non-durable write is lost work,
+     *  and an outage's un-elapsed tail is refunded. */
+    const auto interrupt = [&]() {
+        if (wait != AsyncWait::None)
+            end_stall();
+        if (running) {
+            eng.cancel(work_event);
+            rep.lost_seconds += timeToSeconds(eng.now() - work_started);
+            running = false;
+        }
+        if (down)
+            refund_outage();
+    };
+
+    /** Where the next recovery goes: warm spare -> DP shrink -> full
+     *  restart. Restore-tier selection and dispatch both ask, so they
+     *  always agree. */
+    const auto recovery_path = [&]() {
+        if (pol.mode != RecoveryMode::WarmSpare)
+            return RecoveryPath::Restart;
+        if (spares_left > 0)
+            return RecoveryPath::Swap;
+        if (pol.allow_dp_shrink && dp_now > 1 && canShrinkTo(dp_now - 1))
+            return RecoveryPath::Shrink;
+        return RecoveryPath::Restart;
+    };
+
     /**
      * Restore-tier selection (peek; consumes nothing): the newest tier
      * whose surviving copies cover the fault's blast radius *and* whose
@@ -741,32 +707,34 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     const auto restore_tier = [&](BlastRadius radius) {
         if (!tiered || radius == BlastRadius::Host)
             return CheckpointTier::Global;
-        const bool live_path =
-            pol.mode == RecoveryMode::WarmSpare &&
-            (spares_left > 0 ||
-             (pol.allow_dp_shrink && dp_now > 1 && canShrinkTo(dp_now - 1)));
-        if (live_path)
+        if (recovery_path() != RecoveryPath::Restart)
             return pol.partial_restart ? CheckpointTier::HbmPeer
                                        : CheckpointTier::Global;
         return CheckpointTier::HostLocal;
     };
 
-    /** Recovery dispatch: warm spare -> DP shrink -> full restart,
-     *  restoring from @p tier (selected by restore_tier for the same
-     *  pre-dispatch state, so the paths agree). @p victim_host names
-     *  the failed node so a placement-aware policy can pick the
-     *  nearest spare and price the swap over the actual path. */
+    /** Recovery dispatch along recovery_path(), restoring from @p tier
+     *  (selected by restore_tier for the same pre-dispatch state, so the
+     *  paths agree). @p victim_host names the failed node so a
+     *  placement-aware policy can pick the nearest spare and price the
+     *  swap over the actual path. */
     const auto begin_recovery = [&](double detection_s,
                                     CheckpointTier tier,
                                     std::int64_t victim_host) {
-        const auto tier_idx = static_cast<std::size_t>(tier);
-        if (pol.mode == RecoveryMode::WarmSpare && spares_left > 0) {
+        double &tier_restore_s =
+            rep.tier_restore_seconds[static_cast<std::size_t>(tier)];
+        // Partial restart (live paths only): only the replacement ranks
+        // re-fetch from DP-peer mirrors; no fleet-wide filesystem read.
+        const bool partial = tier == CheckpointTier::HbmPeer;
+        if (partial)
+            ++rep.partial_restarts;
+        switch (recovery_path()) {
+          case RecoveryPath::Swap: {
             --spares_left;
             ++rep.spare_swaps;
             RecoveryCostRequest req;
-            req.kind = tier == CheckpointTier::HbmPeer
-                           ? RecoveryCostRequest::Kind::PartialRestart
-                           : RecoveryCostRequest::Kind::SpareSwap;
+            req.kind = partial ? RecoveryCostRequest::Kind::PartialRestart
+                               : RecoveryCostRequest::Kind::SpareSwap;
             if (placement_aware) {
                 const auto claim = spare_pool.claimNearest(victim_host);
                 LLM4D_CHECK(claim.has_value(),
@@ -781,113 +749,51 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                     ++displaced;
                 }
             }
-            if (tier == CheckpointTier::HbmPeer) {
-                // Partial restart: only the replacement ranks re-fetch
-                // from DP-peer mirrors; no fleet-wide filesystem read.
-                ++rep.partial_restarts;
-            }
             const CostBreakdown cost = recovery_.price(req);
-            rep.tier_restore_seconds[tier_idx] +=
-                cost.restoreCriticalSeconds();
+            tier_restore_s += cost.restoreCriticalSeconds();
             begin_outage(detection_s, cost.totalSeconds(),
-                         &rep.spare_swap_seconds);
+                         &rep.spare_swap_seconds, true);
             return;
-        }
-        if (pol.mode == RecoveryMode::WarmSpare && pol.allow_dp_shrink &&
-            dp_now > 1 && canShrinkTo(dp_now - 1)) {
+          }
+          case RecoveryPath::Shrink: {
             --dp_now;
             ++rep.dp_shrinks;
-            double shrink_s = shrinkSecondsTo(dp_now);
-            if (tier == CheckpointTier::HbmPeer) {
-                shrink_s = shrinkHbmSecondsTo(dp_now);
-                ++rep.partial_restarts;
-            }
-            rep.tier_restore_seconds[tier_idx] +=
-                shrink_s - pol.swap_reinit_seconds;
-            begin_outage(detection_s, shrink_s, &rep.shrink_seconds);
+            const CostBreakdown &cost = recoveryCost(
+                RecoveryCostRequest::Kind::Shrink, dp_now, tier);
+            tier_restore_s += cost.restoreCriticalSeconds();
+            begin_outage(detection_s, cost.totalSeconds(),
+                         &rep.shrink_seconds, true);
             return;
+          }
+          case RecoveryPath::Restart: {
+            ++rep.restarts;
+            const CkptCosts &costs = checkpointCostsAt(dp_now);
+            const double load_s = tier == CheckpointTier::HostLocal
+                                      ? costs.nvme_read
+                                      : costs.load;
+            tier_restore_s += load_s;
+            begin_outage(detection_s, cfg_.restart.reinit_seconds + load_s,
+                         &rep.restart_seconds, true);
+            return;
+          }
         }
-        ++rep.restarts;
-        const double load_s = tier == CheckpointTier::HostLocal
-                                  ? checkpointCostsAt(dp_now).nvme_read
-                                  : checkpointCostsAt(dp_now).load;
-        rep.tier_restore_seconds[tier_idx] += load_s;
-        begin_outage(detection_s, cfg_.restart.reinit_seconds + load_s,
-                     &rep.restart_seconds);
     };
 
-    /** Pure pause (straggler localization + rebalance push): charged to
-     *  detection, no recovery work, no warmup. */
-    const auto begin_pause = [&](double pause_s) {
-        rep.detection_seconds += pause_s;
-        outage_rest_s = 0.0;
-        outage_bucket = &rep.restart_seconds;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(pause_s);
-        resume_event = eng.schedule(secondsToTime(pause_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** DP-regrow outage: NCCL re-init at the larger world + the
-     *  re-admitted replica gathering state from peers. Modeled as a
-     *  pause — nothing is rolled back (the replica pulls live state,
-     *  tentative/pending work survives), so a fatal fault mid-regrow
-     *  takes the paused path: refund the tail, roll back, recover. */
-    const auto begin_regrow = [&](double regrow_s) {
-        rep.regrow_seconds += regrow_s;
-        outage_rest_s = regrow_s;
-        outage_bucket = &rep.regrow_seconds;
-        warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(regrow_s);
-        resume_event = eng.schedule(secondsToTime(regrow_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** Migrate-home outage of displaced ranks: NCCL re-init + a
-     *  pod-local state re-gather, charged to displacement_seconds.
-     *  Same pause semantics as a regrow (nothing is rolled back). */
-    const auto begin_migration = [&](double mig_s) {
-        rep.displacement_seconds += mig_s;
-        outage_rest_s = mig_s;
-        outage_bucket = &rep.displacement_seconds;
-        warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        paused = true;
-        running = false;
-        resume_at = eng.now() + secondsToTime(mig_s);
-        resume_event = eng.schedule(secondsToTime(mig_s), [&]() {
-            down = false;
-            paused = false;
-            schedule_step();
-        });
-    };
-
-    /** Consume completed repairs at a durable checkpoint boundary.
-     *  Migration first: a repair in a displaced rank's home pod lets
-     *  it move back onto the repaired host, ending the spine penalty
-     *  and returning its cross-pod spare to the pool. (The repair shop
-     *  does not track pod identity, so any ready repair stands in for
-     *  "the victim's pod has a healthy host again" — the shop repairs
-     *  the host that actually broke.) Then refill the warm-spare pool
-     *  (a refill is free — the host parks warm), then batch every
-     *  remaining ready host into one DP-regrow priced at the target
-     *  width, so a single re-init amortizes all re-admissions. Returns
-     *  true when an outage was started (the caller must not schedule a
-     *  step — the resume will). */
+    /** Consume completed repairs at a checkpoint boundary. Migration
+     *  first: a repair in a displaced rank's home pod lets it move back
+     *  onto the repaired host, ending the spine penalty and returning
+     *  its cross-pod spare to the pool. (The repair shop does not track
+     *  pod identity, so any ready repair stands in for "the victim's pod
+     *  has a healthy host again" — the shop repairs the host that
+     *  actually broke.) Then refill the warm-spare pool (a refill is
+     *  free — the host parks warm), then batch every remaining ready
+     *  host into one DP-regrow priced at the target width, so a single
+     *  re-init amortizes all re-admissions. Migration and regrow are
+     *  outages without detection: nothing is rolled back (the replica
+     *  pulls live state, tentative/pending work survives). Returns true
+     *  when an outage was started (the caller must not schedule a step —
+     *  the resume will). */
     const auto maybe_reexpand = [&]() {
-        if (finished || truncated || down || finishing || evict_rank >= 0)
-            return false;
         if (placement_aware && pol.placement_migration && displaced > 0 &&
             repair_shop.hasReady(eng.now())) {
             while (displaced > 0 && repair_shop.hasReady(eng.now())) {
@@ -898,7 +804,11 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                 ++spares_left;
                 spare_pool.refill();
             }
-            begin_migration(migrateHomeSeconds());
+            begin_outage(
+                0.0,
+                recoveryCost(RecoveryCostRequest::Kind::MigrateHome)
+                    .totalSeconds(),
+                &rep.displacement_seconds, true);
             return true;
         }
         if (!pol.allow_regrow)
@@ -926,144 +836,107 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             return false;
         dp_now += grew;
         rep.dp_regrows += grew;
-        begin_regrow(regrowSecondsTo(dp_now));
+        begin_outage(
+            0.0,
+            recoveryCost(RecoveryCostRequest::Kind::Regrow, dp_now)
+                .totalSeconds(),
+            &rep.regrow_seconds, true);
         return true;
     };
 
-    const auto truncate_now = [&]() {
-        if (wait != AsyncWait::None) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
+    /** Next move once a global checkpoint write lands. A finish or an
+     *  eviction needs its steps durable first, so an async snapshot
+     *  blocks for its drain (which calls back here). Otherwise the
+     *  boundary is the batching point for migrating displaced ranks
+     *  home and re-admitting repaired hosts (durable state to regrow
+     *  from is the last drained checkpoint; the replica gathers the rest
+     *  from live peers), and steps resume. */
+    const auto after_checkpoint = [&]() {
+        if (!finishing && evict_rank < 0) {
+            if (!maybe_reexpand())
+                schedule_step();
+            return;
         }
-        if (running) {
-            eng.cancel(work_event);
-            rep.lost_seconds += timeToSeconds(
-                eng.now() - (in_checkpoint ? ckpt_started : step_started));
-            running = false;
+        if (drain_active) {
+            wait = AsyncWait::Final;
+            stall_started = eng.now();
+            return;
         }
-        if (down)
-            refund_outage();
-        rollback();
-        truncated = true;
-        stopped_at = eng.now();
+        if (finishing) {
+            rep.completed = true;
+            stopped = true;
+            stopped_at = eng.now();
+            return;
+        }
+        const std::int64_t victim = evict_rank;
+        stragglers.erase(victim);
+        evict_rank = -1;
+        // An eviction removes one GPU deliberately — same blast radius
+        // as a GpuFatal for tier selection.
+        begin_recovery(cfg_.detection.straggler_analysis_seconds,
+                       restore_tier(BlastRadius::Gpu), topo.nodeOf(victim));
     };
 
-    start_snapshot = [&]() {
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
+    const auto start_snapshot = [&]() {
         const double snap_s = checkpointCostsAt(dp_now).snapshot;
-        work_event = eng.schedule(secondsToTime(snap_s), [&, snap_s]() {
+        start_work(snap_s, [&, snap_s]() {
             // Snapshot landed in host DRAM: the steps it covers move to
             // the pending (snapshotted, not yet durable) stage and the
             // filesystem drain starts in the background. With tiers the
             // snapshot also supersedes the local-tier coverage.
             rep.checkpoint_seconds += snap_s;
-            pending_steps += done_since_ckpt + local_steps + nv_steps;
-            pending_base_s +=
-                tentative_base_s + local_base_s + nv_base_s;
-            pending_extra_s +=
-                tentative_extra_s + local_extra_s + nv_extra_s;
-            done_since_ckpt = 0;
-            tentative_base_s = 0.0;
-            tentative_extra_s = 0.0;
-            local_steps = 0;
-            local_base_s = 0.0;
-            local_extra_s = 0.0;
-            nv_steps = 0;
-            nv_base_s = 0.0;
-            nv_extra_s = 0.0;
-            running = false;
-            in_checkpoint = false;
+            fold_local();
+            pending.absorb(nv);
             drain_active = true;
-            const double drain_s = checkpointCostsAt(dp_now).drain;
-            drain_event = eng.schedule(secondsToTime(drain_s),
-                                       [&]() { on_drain_done(); });
-            if (finishing || evict_rank >= 0) {
-                // Durability is on the critical path: block for the
-                // drain instead of overlapping it with steps.
-                wait = AsyncWait::Final;
-                stall_started = eng.now();
-            } else if (!maybe_reexpand()) {
-                // The snapshot boundary is the batching point for
-                // migrating displaced ranks home and re-admitting
-                // repaired hosts (durable state to regrow from is the
-                // previous drained checkpoint; the replica gathers the
-                // rest from live peers).
-                schedule_step();
-            }
+            drain_event =
+                eng.schedule(secondsToTime(checkpointCostsAt(dp_now).drain),
+                             [&]() { on_drain_done(); });
+            after_checkpoint();
         });
     };
 
     on_drain_done = [&]() {
-        if (finished || truncated)
+        if (stopped)
             return;
         drain_active = false;
-        committed += pending_steps;
-        rep.productive_seconds += pending_base_s;
-        rep.degraded_seconds += pending_extra_s;
-        pending_steps = 0;
-        pending_base_s = 0.0;
-        pending_extra_s = 0.0;
-        if (wait == AsyncWait::Snapshot) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
+        make_durable(pending);
+        const AsyncWait waited = wait;
+        if (waited == AsyncWait::None)
+            return;
+        end_stall();
+        if (waited == AsyncWait::Snapshot)
+            start_snapshot();
+        else
+            after_checkpoint();
+    };
+
+    /** Global checkpoint: an async snapshot (the single host snapshot
+     *  buffer forces a stall while the previous drain is still writing
+     *  it out), or a sync sharded save that makes every completed step
+     *  durable (with tiers it also supersedes the local coverage). */
+    const auto save_global = [&]() {
+        if (async) {
+            if (drain_active) {
+                wait = AsyncWait::Snapshot;
+                stall_started = eng.now();
+                return;
+            }
             start_snapshot();
             return;
         }
-        if (wait == AsyncWait::Final) {
-            rep.drain_stall_seconds +=
-                timeToSeconds(eng.now() - stall_started);
-            wait = AsyncWait::None;
-            if (finishing) {
-                finished = true;
-                running = false;
-                stopped_at = eng.now();
-                return;
-            }
-            if (evict_rank >= 0) {
-                const std::int64_t victim = topo.nodeOf(evict_rank);
-                stragglers.erase(evict_rank);
-                evict_rank = -1;
-                // An eviction removes one GPU deliberately — same blast
-                // radius as a GpuFatal for tier selection.
-                begin_recovery(cfg_.detection.straggler_analysis_seconds,
-                               restore_tier(BlastRadius::Gpu), victim);
-            }
-        }
-    };
-
-    /** Async checkpoint entry: the single host snapshot buffer forces a
-     *  stall while the previous drain is still writing it out. */
-    const auto request_snapshot = [&]() {
-        if (drain_active) {
-            wait = AsyncWait::Snapshot;
-            stall_started = eng.now();
-            running = false;
-            return;
-        }
-        start_snapshot();
-    };
-
-    const auto finish = [&]() {
-        // The run always ends by making the final steps durable.
-        finishing = true;
-        if (async) {
-            request_snapshot();
-            return;
-        }
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
         const double save_s = checkpointCostsAt(dp_now).save;
-        work_event = eng.schedule(secondsToTime(save_s), [&, save_s]() {
-            commit(save_s);
-            finished = true;
-            running = false;
-            stopped_at = eng.now();
+        start_work(save_s, [&, save_s]() {
+            rep.checkpoint_seconds += save_s;
+            fold_local();
+            make_durable(nv);
+            after_checkpoint();
         });
+    };
+
+    /** The run always ends by making the final steps durable. */
+    const auto finish = [&]() {
+        finishing = true;
+        save_global();
     };
 
     /** Straggler localized: rebalance if the policy allows and the DP
@@ -1074,7 +947,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         if (pol.straggler_rebalance && st.speed > 0.0 && st.speed < 1.0 &&
             dp_now > 1) {
             const double degraded_ratio =
-                degradedStepSeconds(detected, st.speed) / base_step_s;
+                degradedStepSeconds({{detected, st.speed}}) / base_step_s;
             const RebalancePlan plan = planMicrobatchRebalance(
                 st.speed, dp_now - 1, stepReportAtDp(dp_now).nmb,
                 rebalanceHeadroomMicrobatches(detected, dp_now));
@@ -1084,35 +957,29 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                 st.mitigated = true;
                 st.residual = plan.residual_multiplier;
                 ++rep.rebalances;
-                begin_pause(cfg_.detection.straggler_analysis_seconds +
-                            pol.rebalance_seconds);
+                // Pure pause (localization + rebalance push): all of it
+                // is detection, with no recovery work and no warmup.
+                begin_outage(cfg_.detection.straggler_analysis_seconds +
+                                 pol.rebalance_seconds,
+                             0.0, &rep.detection_seconds, false);
                 return;
             }
         }
         // Orderly maintenance restart: make progress durable first (no
         // lost work), then evict the culprit through the recovery path.
-        if (async) {
-            evict_rank = detected;
-            request_snapshot();
-            return;
-        }
-        in_checkpoint = true;
-        ckpt_started = eng.now();
-        running = true;
-        const double save_s = checkpointCostsAt(dp_now).save;
-        work_event =
-            eng.schedule(secondsToTime(save_s), [&, save_s, detected]() {
-                commit(save_s);
-                stragglers.erase(detected);
-                begin_recovery(cfg_.detection.straggler_analysis_seconds,
-                               restore_tier(BlastRadius::Gpu),
-                               topo.nodeOf(detected));
-            });
+        evict_rank = detected;
+        save_global();
+    };
+
+    const auto truncate_now = [&]() {
+        interrupt();
+        rollback(CheckpointTier::Global);
+        stopped = true;
+        stopped_at = eng.now();
     };
 
     schedule_step = [&]() {
-        running = false;
-        if (finished || truncated || down || wait != AsyncWait::None)
+        if (stopped || down || wait != AsyncWait::None)
             return;
         if (eng.now() > wall_limit) {
             truncate_now();
@@ -1125,15 +992,11 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             finish();
             return;
         }
-        step_len_s = current_step_seconds();
-        step_started = eng.now();
-        in_checkpoint = false;
-        running = true;
-        work_event = eng.schedule(secondsToTime(step_len_s), [&]() {
-            // Step completed.
-            ++done_since_ckpt;
-            tentative_base_s += base_step_s;
-            tentative_extra_s += step_len_s - base_step_s;
+        const double step_s = current_step_seconds();
+        start_work(step_s, [&, step_s]() {
+            ++tentative.steps;
+            tentative.base_s += base_step_s;
+            tentative.extra_s += step_s - base_step_s;
             if (warmup_left > 0)
                 --warmup_left;
             // Straggler detection accumulates evidence one degraded step
@@ -1158,99 +1021,43 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                 handle_detected(detected);
                 return;
             }
-            if (done_since_ckpt >= interval_steps) {
-                if (tiered) {
-                    // Hierarchical boundary: always block for the HBM
-                    // peer mirror, fold NVMe on its cadence, and run the
-                    // global (sync save / async snapshot) machinery on
-                    // its own cadence. The counter advances only when
-                    // the write *completes*, so a fault mid-boundary
-                    // retries the same (possibly global) boundary
-                    // instead of sliding the cadence.
-                    const bool global_b =
-                        (ckpt_boundary + 1) % hier.global_every == 0;
-                    const bool nvme_b =
-                        global_b ||
-                        (ckpt_boundary + 1) % hier.nvme_every == 0;
-                    in_checkpoint = true;
-                    ckpt_started = eng.now();
-                    running = true;
-                    const CkptCosts &costs = checkpointCostsAt(dp_now);
-                    const double local_s =
-                        costs.hbm_write +
-                        (nvme_b ? costs.nvme_write : 0.0);
-                    work_event = eng.schedule(
-                        secondsToTime(local_s),
-                        [&, local_s, nvme_b, global_b]() {
-                            ++ckpt_boundary;
-                            rep.checkpoint_seconds += local_s;
-                            // The fresh mirror covers the tentative tail.
-                            local_steps += done_since_ckpt;
-                            local_base_s += tentative_base_s;
-                            local_extra_s += tentative_extra_s;
-                            done_since_ckpt = 0;
-                            tentative_base_s = 0.0;
-                            tentative_extra_s = 0.0;
-                            if (nvme_b) {
-                                nv_steps += local_steps;
-                                nv_base_s += local_base_s;
-                                nv_extra_s += local_extra_s;
-                                local_steps = 0;
-                                local_base_s = 0.0;
-                                local_extra_s = 0.0;
-                            }
-                            running = false;
-                            in_checkpoint = false;
-                            if (!global_b) {
-                                schedule_step();
-                                return;
-                            }
-                            if (async) {
-                                request_snapshot();
-                                return;
-                            }
-                            // Synchronous global save on top.
-                            in_checkpoint = true;
-                            ckpt_started = eng.now();
-                            running = true;
-                            const double save_s =
-                                checkpointCostsAt(dp_now).save;
-                            work_event = eng.schedule(
-                                secondsToTime(save_s), [&, save_s]() {
-                                    commit(save_s);
-                                    if (!maybe_reexpand())
-                                        schedule_step();
-                                });
-                        });
-                    return;
-                }
-                if (async) {
-                    request_snapshot();
-                    return;
-                }
-                // Synchronous sharded save.
-                in_checkpoint = true;
-                ckpt_started = eng.now();
-                running = true;
-                const double save_s = checkpointCostsAt(dp_now).save;
-                work_event =
-                    eng.schedule(secondsToTime(save_s), [&, save_s]() {
-                        commit(save_s);
-                        // The durable boundary batches migrations home
-                        // and re-admission of repaired hosts (amortizes
-                        // the re-init).
-                        if (!maybe_reexpand())
-                            schedule_step();
-                    });
+            if (tentative.steps < interval_steps) {
+                schedule_step();
                 return;
             }
-            schedule_step();
+            if (!tiered) {
+                save_global();
+                return;
+            }
+            // Hierarchical boundary: always block for the HBM peer
+            // mirror, fold NVMe on its cadence, and run the global
+            // checkpoint on its own cadence. The counter advances only
+            // when the write *completes*, so a fault mid-boundary
+            // retries the same (possibly global) boundary instead of
+            // sliding the cadence.
+            const bool global_b =
+                (ckpt_boundary + 1) % hier.global_every == 0;
+            const bool nvme_b =
+                global_b || (ckpt_boundary + 1) % hier.nvme_every == 0;
+            const CkptCosts &costs = checkpointCostsAt(dp_now);
+            const double local_s =
+                costs.hbm_write + (nvme_b ? costs.nvme_write : 0.0);
+            start_work(local_s, [&, local_s, nvme_b, global_b]() {
+                ++ckpt_boundary;
+                rep.checkpoint_seconds += local_s;
+                // The fresh mirror covers the tentative tail.
+                local.absorb(tentative);
+                if (nvme_b)
+                    nv.absorb(local);
+                if (global_b)
+                    save_global();
+                else
+                    schedule_step();
+            });
         });
     };
 
-    on_fault = [&](const FaultEvent &ev) {
-        if (finished || truncated)
-            return; // queue drains; no further faults are pulled
+    const auto on_fault = [&](const FaultEvent &ev) {
         if (eng.now() > wall_limit) {
             truncate_now();
             return;
@@ -1277,35 +1084,14 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                         ++it;
                 }
             }
-            if (down) {
-                // Back-to-back failure while recovering (e.g. the
-                // replacement host dies too): the old outage's un-elapsed
-                // tail never happens — refund it and recover from scratch.
-                // A rebalance pause / regrow is not a recovery outage:
-                // nothing was rolled back when it began and a drain may
-                // still be writing; a plain recovery outage already
-                // rolled back, so the rollback below is a no-op for it.
-                refund_outage();
-                paused = false;
-            } else {
-                if (wait != AsyncWait::None) {
-                    // Stalled on a drain that now dies with the host
-                    // state: the elapsed stall is real wall time, the
-                    // durability it was waiting for never arrives.
-                    rep.drain_stall_seconds +=
-                        timeToSeconds(eng.now() - stall_started);
-                    wait = AsyncWait::None;
-                }
-                if (running) {
-                    eng.cancel(work_event);
-                    const double elapsed = timeToSeconds(
-                        eng.now() - (in_checkpoint ? ckpt_started
-                                                   : step_started));
-                    // Partial step work and a non-durable save are lost.
-                    rep.lost_seconds += elapsed;
-                    running = false;
-                }
-            }
+            // A back-to-back failure while recovering (e.g. the
+            // replacement host dies too) refunds the old outage's
+            // un-elapsed tail and recovers from scratch. A rebalance
+            // pause, regrow or migration is not a recovery outage:
+            // nothing was rolled back when it began and a drain may still
+            // be writing; a plain recovery outage already rolled back, so
+            // the rollback below is a no-op for it.
+            interrupt();
             // Select the newest restore point whose surviving copies
             // cover what this fault destroyed, roll back only the work
             // that restore point does not cover, and dispatch.
@@ -1319,7 +1105,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                                 << " does not survive a "
                                 << toString(radius) << " blast radius ("
                                 << toString(ev.kind) << ")");
-            rollback_to_tier(tier);
+            rollback(tier);
             // FaultEvent.component is a node index for HostCrash and a
             // GPU rank otherwise.
             const std::int64_t victim_host =
@@ -1376,8 +1162,8 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         pump_fault = [&]() {
             const FaultEvent ev = faults.next();
             eng.scheduleAt(std::max(ev.when, eng.now()), [&, ev]() {
-                if (finished || truncated)
-                    return;
+                if (stopped)
+                    return; // queue drains; no further faults are pulled
                 rep.timeline.push_back(ev);
                 on_fault(ev);
                 pump_fault();
@@ -1389,13 +1175,11 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     schedule_step();
     eng.run();
 
-    rep.completed = finished && !truncated;
     rep.steps_committed = committed;
     rep.final_dp = dp_now;
     // The engine clock can drift past the end while draining a trailing
     // (ignored) fault event; the recorded stop time is the true wall.
-    rep.wall_seconds = timeToSeconds(
-        (finished || truncated) ? stopped_at : eng.now());
+    rep.wall_seconds = timeToSeconds(stopped ? stopped_at : eng.now());
     rep.goodput_tflops_per_gpu =
         rep.wall_seconds > 0.0
             ? flops_per_gpu_step_ *

@@ -54,6 +54,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -435,6 +436,14 @@ class TrainRunSim
     };
 
     /**
+     * Recovery-cost memo key: the request fields that shrink, regrow and
+     * migrate-home pricing reads (kind, to_dp, restore_tier). Swaps are
+     * priced per claim instead, since their spare path varies.
+     */
+    using RecoveryCostKey =
+        std::tuple<RecoveryCostRequest::Kind, std::int64_t, CheckpointTier>;
+
+    /**
      * Step seconds with the whole active-straggler set @p active
      * ((rank, speed) pairs) injected into *one* TrainSim rerun. The
      * synchronized step pays the compounded cost of every slow stage at
@@ -447,48 +456,31 @@ class TrainRunSim
     double degradedStepSeconds(
         const std::vector<std::pair<std::int64_t, double>> &active) const;
 
-    /** Single-straggler convenience overload (same cache). */
-    double degradedStepSeconds(std::int64_t straggler_rank,
-                               double speed) const;
-
     /** Whether the job remains valid with DP shrunk to @p dp. */
     bool canShrinkTo(std::int64_t dp) const;
 
     /** Fault-free step report at DP degree @p dp (TrainSim rerun,
-     *  cached; base_ when @p dp is the configured degree). */
+     *  cached; base_ when @p dp is the configured degree). Same global
+     *  batch, so fewer replicas -> slower steps. */
     const TrainStepReport &stepReportAtDp(std::int64_t dp) const;
 
     /**
-     * stepReportAtDp re-priced for a degraded placement: at least one
-     * displaced rank's DP group spans the oversubscribed spine, so the
-     * step stretches by displacementSlowdown() (cached per dp).
+     * Step-time multiplier while a NIC runs at @p capacity of its
+     * bandwidth: the NIC-bound share of the step stretches by the
+     * FlowSim transfer-level slowdown. Prices both a link flap and a
+     * rank displaced cross-pod, whose DP traffic crosses the spine at
+     * 1/oversubscription capacity.
      */
-    const TrainStepReport &stepReportAtPlacement(std::int64_t dp) const;
-
-    /** Step-time multiplier while any rank is displaced cross-pod:
-     *  the NIC-bound share of the step runs at spine (1/oversub)
-     *  capacity, through the same FlowSim machinery as a link flap. */
-    double displacementSlowdown() const;
-
-    /** Outage of a displaced rank migrating home (cached). */
-    double migrateHomeSeconds() const;
-
-    /** Fault-free step seconds at DP degree @p dp (same global batch,
-     *  so fewer replicas -> slower steps). */
-    double stepSecondsAtDp(std::int64_t dp) const;
+    double nicSlowdown(double capacity) const;
 
     /** Checkpoint pricing at DP degree @p dp (cached). */
     const CkptCosts &checkpointCostsAt(std::int64_t dp) const;
 
-    /** Outage of shrinking to @p dp replicas (cached). */
-    double shrinkSecondsTo(std::int64_t dp) const;
-
-    /** Outage of a partial-restart shrink to @p dp replicas: the
-     *  restore term comes from the HBM peer tier (cached). */
-    double shrinkHbmSecondsTo(std::int64_t dp) const;
-
-    /** Outage of regrowing to @p dp replicas (cached). */
-    double regrowSecondsTo(std::int64_t dp) const;
+    /** Priced shrink, regrow or migrate-home transition (memoized on
+     *  RecoveryCostKey). */
+    const CostBreakdown &
+    recoveryCost(RecoveryCostRequest::Kind kind, std::int64_t to_dp = 0,
+                 CheckpointTier restore_tier = CheckpointTier::Global) const;
 
     /** Activation headroom on the straggler's DP peers at the current
      *  DP degree @p dp, in units of one stage micro-batch (how many
@@ -502,18 +494,27 @@ class TrainRunSim
     RecoveryCostModel recovery_;
     double flops_per_gpu_step_ = 0.0;
 
-    /** TrainSim reruns per active-straggler *set* are cached, keyed by
-     *  the sorted (representative rank, speed) vector. */
+    // Lazy memos: each is filled on first use only, because the planner
+    // builds one TrainRunSim per sweep cell and most cells never shrink,
+    // regrow or see a straggler.
+
+    /** TrainSim reruns per active-straggler *set*, keyed by the sorted
+     *  (representative rank, speed) vector. */
     mutable std::map<std::vector<std::pair<std::int64_t, double>>, double>
         degraded_cache_;
+    /** Fault-free step reports at shrunk/regrown DP degrees. */
     mutable std::map<std::int64_t, TrainStepReport> shrunk_report_cache_;
-    mutable std::map<std::int64_t, TrainStepReport> displaced_report_cache_;
+    /** Checkpoint costs per DP degree. */
     mutable std::map<std::int64_t, CkptCosts> ckpt_cost_cache_;
-    mutable std::map<std::int64_t, double> shrink_cost_cache_;
-    mutable std::map<std::int64_t, double> shrink_hbm_cost_cache_;
-    mutable std::map<std::int64_t, double> regrow_cost_cache_;
-    mutable double displacement_slowdown_ = 0.0; ///< lazily computed
-    mutable double migrate_home_seconds_ = -1.0; ///< lazily computed
+    /** The one recovery-cost memo (see RecoveryCostKey). */
+    mutable std::map<RecoveryCostKey, CostBreakdown> recovery_cost_cache_;
+
+    // runWithInterval's run state lives in its own frame, not here: a
+    // work ledger of stages, oldest -> newest, committed (durable) |
+    // pending (async snapshot, drain in flight) | nv (latest NVMe
+    // persist) | local (latest HBM peer mirror) | tentative (not yet
+    // checkpointed). A checkpoint moves work toward committed; a fault
+    // discards the stages its restore tier does not cover.
 };
 
 } // namespace llm4d

@@ -58,10 +58,13 @@ faultyConfig()
     return cfg;
 }
 
+/** Every field of the two reports, including the fault timeline. */
 void
 expectBitwiseEqual(const TrainRunReport &a, const TrainRunReport &b)
 {
+    EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.wall_seconds, b.wall_seconds);
+    EXPECT_EQ(a.ideal_seconds, b.ideal_seconds);
     EXPECT_EQ(a.goodput_tflops_per_gpu, b.goodput_tflops_per_gpu);
     EXPECT_EQ(a.steps_committed, b.steps_committed);
     EXPECT_EQ(a.steps_lost, b.steps_lost);
@@ -76,7 +79,10 @@ expectBitwiseEqual(const TrainRunReport &a, const TrainRunReport &b)
     EXPECT_EQ(a.rebalances, b.rebalances);
     EXPECT_EQ(a.productive_seconds, b.productive_seconds);
     EXPECT_EQ(a.degraded_seconds, b.degraded_seconds);
+    EXPECT_EQ(a.checkpoint_seconds, b.checkpoint_seconds);
     EXPECT_EQ(a.lost_seconds, b.lost_seconds);
+    EXPECT_EQ(a.detection_seconds, b.detection_seconds);
+    EXPECT_EQ(a.restart_seconds, b.restart_seconds);
     EXPECT_EQ(a.drain_stall_seconds, b.drain_stall_seconds);
     EXPECT_EQ(a.spare_swap_seconds, b.spare_swap_seconds);
     EXPECT_EQ(a.shrink_seconds, b.shrink_seconds);
@@ -88,6 +94,22 @@ expectBitwiseEqual(const TrainRunReport &a, const TrainRunReport &b)
         EXPECT_EQ(a.tier_restore_seconds[static_cast<std::size_t>(t)],
                   b.tier_restore_seconds[static_cast<std::size_t>(t)])
             << "tier " << toString(static_cast<CheckpointTier>(t));
+    EXPECT_EQ(a.availability, b.availability);
+    EXPECT_EQ(a.base_tflops_per_gpu, b.base_tflops_per_gpu);
+    EXPECT_EQ(a.faults.gpu_fatal, b.faults.gpu_fatal);
+    EXPECT_EQ(a.faults.host_crash, b.faults.host_crash);
+    EXPECT_EQ(a.faults.link_flaps, b.faults.link_flaps);
+    EXPECT_EQ(a.faults.stragglers, b.faults.stragglers);
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    for (std::size_t k = 0; k < a.timeline.size(); ++k) {
+        const FaultEvent &x = a.timeline[k];
+        const FaultEvent &y = b.timeline[k];
+        EXPECT_EQ(x.kind, y.kind) << "timeline event " << k;
+        EXPECT_EQ(x.when, y.when) << "timeline event " << k;
+        EXPECT_EQ(x.component, y.component) << "timeline event " << k;
+        EXPECT_EQ(x.severity, y.severity) << "timeline event " << k;
+        EXPECT_EQ(x.duration, y.duration) << "timeline event " << k;
+    }
 }
 
 /** tier_restore_seconds accessor by tier, for readable assertions. */
@@ -537,6 +559,48 @@ TEST(TrainRunSim, PoolExhaustionDegradesToDpShrink)
     EXPECT_GT(rigid_rep.restarts, 0);
     EXPECT_EQ(rigid_rep.dp_shrinks, 0);
     EXPECT_EQ(rigid_rep.final_dp, cfg.job.par.dp);
+}
+
+TEST(TrainRunSim, ShrinkRestoreIsAttributedAtItsPricedCriticalPath)
+{
+    // A shrink's restore is attributed to its tier exactly as a swap's
+    // is: the priced restore/gather critical path, not the total outage
+    // minus the re-init (a subtraction that loses low bits). A
+    // shrink-only run (no spares, no regrow, no full restarts) therefore
+    // attributes, bit for bit, the in-order sum of its shrinks' critical
+    // paths. 12-sequence batch at dp 3: dp 3 -> 2 -> 1 are both legal.
+    TrainRunConfig cfg;
+    cfg.job.cluster = ClusterSpec::llama3Production(384);
+    cfg.job.par = ParallelismConfig{8, 1, 16, 3};
+    cfg.job.global_batch_tokens = 12LL * 8192;
+    disableAllFaults(cfg);
+    cfg.job.cluster.node.gpu.fatal_mtbf_hours = 400.0;
+    cfg.total_steps = 600;
+    cfg.checkpoint_interval_steps = 40;
+    cfg.policy.mode = RecoveryMode::WarmSpare;
+    cfg.policy.allow_dp_shrink = true;
+    int seeds_with_two_shrinks = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        cfg.seed = seed;
+        const TrainRunSim sim(cfg);
+        const TrainRunReport rep = sim.run();
+        ASSERT_TRUE(rep.completed) << "seed " << seed;
+        if (rep.restarts > 0)
+            continue; // a full restart also attributes a global load
+        double expected = 0.0;
+        for (std::int64_t k = 1; k <= rep.dp_shrinks; ++k) {
+            RecoveryCostRequest req;
+            req.kind = RecoveryCostRequest::Kind::Shrink;
+            req.to_dp = cfg.job.par.dp - k;
+            expected += sim.recovery().price(req).restoreCriticalSeconds();
+        }
+        EXPECT_EQ(tierRestore(rep, CheckpointTier::Global), expected)
+            << "seed " << seed;
+        if (rep.dp_shrinks >= 2)
+            ++seeds_with_two_shrinks;
+    }
+    ASSERT_GT(seeds_with_two_shrinks, 0)
+        << "sweep too quiet: no seed shrank twice without a restart";
 }
 
 /** Shrink-capable 16K job: 240-sequence global batch at dp 16 gives 15
