@@ -17,6 +17,8 @@
 #   ./scripts/check.sh --fast   # tier 1 + lint only
 #   ./scripts/check.sh --lint   # lint only (assumes an existing build/)
 #   ./scripts/check.sh --golden # bench stdout vs bench/golden/*.txt
+#   ./scripts/check.sh --perfbench # perfbench/ build, unit tests, and a
+#                               # 0.1 s correctness run per workload
 #
 # Suites also carry ctest labels for targeted runs from build/:
 #   ctest -L plan | -L fault | -L sim | -L net    # one subsystem's suite
@@ -28,13 +30,15 @@ cd "$(dirname "$0")/.."
 fast=0
 lint_only=0
 golden_only=0
+perfbench_only=0
 for arg in "$@"; do
     case "$arg" in
     --fast) fast=1 ;;
     --lint) lint_only=1 ;;
     --golden) golden_only=1 ;;
+    --perfbench) perfbench_only=1 ;;
     *)
-        echo "usage: $0 [--fast|--lint|--golden]" >&2
+        echo "usage: $0 [--fast|--lint|--golden|--perfbench]" >&2
         exit 2
         ;;
     esac
@@ -91,6 +95,36 @@ run_golden() {
     done
     return "${failed}"
 }
+
+# The host-time benchmark (perfbench/, a standalone CMake package that
+# compiles ../src in Release): its unit tests, then one short untraced
+# run of every workload. The binary exits 0 even when ops fail or
+# digests diverge, so the verdict is read from its result line.
+run_perfbench() {
+    echo "== perfbench: build + unit tests + short runs =="
+    cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build .bench_build/perfbench -j "${jobs}"
+    ctest --test-dir .bench_build/perfbench --output-on-failure
+    local failed=0 result
+    for workload in step_sweep plan_worn run_long; do
+        result=$(./.bench_build/perfbench/llm4d_perfbench \
+            --workload "${workload}" --seed 1 --seconds 0.1 --trace 0 |
+            tail -n 1)
+        if [[ "${result}" == *'"correct": true'* ]]; then
+            echo "ok   ${workload}"
+        else
+            echo "FAIL ${workload}: ${result}"
+            failed=1
+        fi
+    done
+    return "${failed}"
+}
+
+if [[ "${perfbench_only}" -eq 1 ]]; then
+    run_perfbench
+    echo "Perfbench runs are correct."
+    exit 0
+fi
 
 if [[ "${golden_only}" -eq 1 ]]; then
     run_golden

@@ -978,83 +978,102 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         stopped_at = eng.now();
     };
 
-    schedule_step = [&]() {
-        if (stopped || down || wait != AsyncWait::None)
-            return;
-        if (eng.now() > wall_limit) {
-            truncate_now();
-            return;
+    /** A step of @p step_s seconds just ended: book it, count down
+     *  straggler detection, and start whatever comes next. @return true
+     *  when the next step follows directly (the caller starts it). */
+    const auto step_done = [&](double step_s) -> bool {
+        ++tentative.steps;
+        tentative.base_s += base_step_s;
+        tentative.extra_s += step_s - base_step_s;
+        if (warmup_left > 0)
+            --warmup_left;
+        // Straggler detection accumulates evidence one degraded step
+        // at a time; mitigated stragglers are already handled.
+        // Lowest rank wins ties — explicit even though the ordered
+        // map already iterates by rank, so the policy survives a
+        // container change.
+        std::int64_t detected = -1;
+        for (auto &[rank, st] : stragglers) {
+            if (st.mitigated)
+                continue;
+            --st.steps_to_detect;
+            if (st.steps_to_detect <= 0 &&
+                (detected < 0 || rank < detected))
+                detected = rank;
         }
-        if (tiered && steps_done() >= cfg_.total_steps) {
-            // A local-tier rollback can leave every remaining step
-            // already covered (only the tentative tail was lost); no
-            // step completion will fire again, so finish from here.
+        if (steps_done() >= cfg_.total_steps) {
             finish();
-            return;
+            return false;
         }
-        const double step_s = current_step_seconds();
-        start_work(step_s, [&, step_s]() {
-            ++tentative.steps;
-            tentative.base_s += base_step_s;
-            tentative.extra_s += step_s - base_step_s;
-            if (warmup_left > 0)
-                --warmup_left;
-            // Straggler detection accumulates evidence one degraded step
-            // at a time; mitigated stragglers are already handled.
-            // Lowest rank wins ties — explicit even though the ordered
-            // map already iterates by rank, so the policy survives a
-            // container change.
-            std::int64_t detected = -1;
-            for (auto &[rank, st] : stragglers) {
-                if (st.mitigated)
-                    continue;
-                --st.steps_to_detect;
-                if (st.steps_to_detect <= 0 &&
-                    (detected < 0 || rank < detected))
-                    detected = rank;
+        if (detected >= 0) {
+            handle_detected(detected);
+            return false;
+        }
+        if (tentative.steps < interval_steps)
+            return true;
+        if (!tiered) {
+            save_global();
+            return false;
+        }
+        // Hierarchical boundary: always block for the HBM peer
+        // mirror, fold NVMe on its cadence, and run the global
+        // checkpoint on its own cadence. The counter advances only
+        // when the write *completes*, so a fault mid-boundary
+        // retries the same (possibly global) boundary instead of
+        // sliding the cadence.
+        const bool global_b = (ckpt_boundary + 1) % hier.global_every == 0;
+        const bool nvme_b =
+            global_b || (ckpt_boundary + 1) % hier.nvme_every == 0;
+        const CkptCosts &costs = checkpointCostsAt(dp_now);
+        const double local_s =
+            costs.hbm_write + (nvme_b ? costs.nvme_write : 0.0);
+        start_work(local_s, [&, local_s, nvme_b, global_b]() {
+            ++ckpt_boundary;
+            rep.checkpoint_seconds += local_s;
+            // The fresh mirror covers the tentative tail.
+            local.absorb(tentative);
+            if (nvme_b)
+                nv.absorb(local);
+            if (global_b)
+                save_global();
+            else
+                schedule_step();
+        });
+        return false;
+    };
+
+    // Between two queued events a run's steps are fully determined, so
+    // they run inline here instead of one Engine event each. A step
+    // that ends strictly before every queued event (fault, drain, flap
+    // expiry, outage end) advances the clock and completes in this
+    // loop; one that would reach or pass the next event is scheduled as
+    // an ordinary event, so a tie still runs the older event first.
+    schedule_step = [&]() {
+        for (;;) {
+            if (stopped || down || wait != AsyncWait::None)
+                return;
+            if (eng.now() > wall_limit) {
+                truncate_now();
+                return;
             }
-            if (steps_done() >= cfg_.total_steps) {
+            if (tiered && steps_done() >= cfg_.total_steps) {
+                // A local-tier rollback can leave every remaining step
+                // already covered (only the tentative tail was lost); no
+                // step completion will fire again, so finish from here.
                 finish();
                 return;
             }
-            if (detected >= 0) {
-                handle_detected(detected);
+            const double step_s = current_step_seconds();
+            if (!eng.tryAdvanceTo(eng.now() + secondsToTime(step_s))) {
+                start_work(step_s, [&, step_s]() {
+                    if (step_done(step_s))
+                        schedule_step();
+                });
                 return;
             }
-            if (tentative.steps < interval_steps) {
-                schedule_step();
+            if (!step_done(step_s))
                 return;
-            }
-            if (!tiered) {
-                save_global();
-                return;
-            }
-            // Hierarchical boundary: always block for the HBM peer
-            // mirror, fold NVMe on its cadence, and run the global
-            // checkpoint on its own cadence. The counter advances only
-            // when the write *completes*, so a fault mid-boundary
-            // retries the same (possibly global) boundary instead of
-            // sliding the cadence.
-            const bool global_b =
-                (ckpt_boundary + 1) % hier.global_every == 0;
-            const bool nvme_b =
-                global_b || (ckpt_boundary + 1) % hier.nvme_every == 0;
-            const CkptCosts &costs = checkpointCostsAt(dp_now);
-            const double local_s =
-                costs.hbm_write + (nvme_b ? costs.nvme_write : 0.0);
-            start_work(local_s, [&, local_s, nvme_b, global_b]() {
-                ++ckpt_boundary;
-                rep.checkpoint_seconds += local_s;
-                // The fresh mirror covers the tentative tail.
-                local.absorb(tentative);
-                if (nvme_b)
-                    nv.absorb(local);
-                if (global_b)
-                    save_global();
-                else
-                    schedule_step();
-            });
-        });
+        }
     };
 
     const auto on_fault = [&](const FaultEvent &ev) {
@@ -1177,6 +1196,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
 
     rep.steps_committed = committed;
     rep.final_dp = dp_now;
+    rep.engine_events = eng.eventsProcessed();
     // The engine clock can drift past the end while draining a trailing
     // (ignored) fault event; the recorded stop time is the true wall.
     rep.wall_seconds = timeToSeconds(stopped ? stopped_at : eng.now());

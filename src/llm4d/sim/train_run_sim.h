@@ -359,6 +359,13 @@ struct TrainRunReport
 
     /** Failure timeline that shaped this run (onset-ordered). */
     std::vector<FaultEvent> timeline;
+
+    /**
+     * Engine events the run executed: a work counter of the simulator
+     * itself, not a simulated quantity. Steps that end before the next
+     * queued event run inline without one.
+     */
+    std::int64_t engine_events = 0;
 };
 
 /** One point of a checkpoint-interval scan. */

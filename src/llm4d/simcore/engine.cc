@@ -40,6 +40,29 @@ Engine::cancel(EventId id)
 }
 
 bool
+Engine::tryAdvanceTo(Time t)
+{
+    LLM4D_ASSERT(t >= now_, "clock advanced into the past: " << t << " < "
+                                                            << now_);
+    // Strictly before the head: a queued event at exactly t was
+    // scheduled first, so it must run before work done inline at t.
+    Time guard = t;
+#if LLM4D_AUDIT_ENABLED
+    if (auditAdmitTies_)
+        guard = t - 1;
+#endif
+    if (!queue_.empty() && queue_.top().when <= guard)
+        return false;
+    // Redundant with the guard above by design, like scheduleAt's
+    // re-stated assert: the audit tier still holds if it is weakened.
+    LLM4D_AUDIT_CHECK("engine", queue_.empty() || queue_.top().when > t,
+                      "advanced to " << t << " at or past the queued event at "
+                                     << queue_.top().when);
+    now_ = t;
+    return true;
+}
+
+bool
 Engine::popInto(Event &out)
 {
     // Copying the top is unavoidable with std::priority_queue; the

@@ -12,6 +12,16 @@
  * timestamp of an already-pending completion and rely on the completion
  * that was scheduled FIRST executing first, so the handler scheduled
  * later observes a consistent before/after ordering.
+ *
+ * tryAdvanceTo() lets a model run self-scheduled work inline instead of
+ * as an event, without breaking that contract. It moves the clock to t
+ * only when every queued event, cancelled ones included, lies strictly
+ * after t. Such work would have been the next event to run, and the
+ * events it schedules get later sequence numbers than every queued
+ * event either way, so the order of everything else is unchanged. An
+ * event queued at exactly t was scheduled before the inline work would
+ * have been, so it must run first: at a tie the call refuses and the
+ * model schedules an ordinary event.
  */
 
 #include <cstdint>
@@ -77,6 +87,16 @@ class Engine
      */
     Time runFor(Time duration);
 
+    /**
+     * Move the clock to @p t (>= now()) without running anything, but
+     * only when every queued event is strictly later than @p t. Cancelled
+     * events still in the queue count, which is conservative. Otherwise
+     * nothing changes. Never runs a callback and never touches
+     * eventsProcessed().
+     * @return true when the clock moved to @p t.
+     */
+    [[nodiscard]] bool tryAdvanceTo(Time t);
+
     /** Number of events executed so far (cancelled events excluded). */
     std::int64_t eventsProcessed() const { return processed_; }
 
@@ -90,6 +110,13 @@ class Engine
      * assert the auditor fires. Never compiled into regular builds.
      */
     void auditForceClockForTest(Time t) { now_ = t; }
+
+    /**
+     * Audit-build test seam: weaken tryAdvanceTo's guard so it advances
+     * onto a queued event's exact time, so death tests can assert the
+     * auditor catches the broken FIFO tie contract.
+     */
+    void auditAdmitTiesForTest() { auditAdmitTies_ = true; }
 #endif
 
   private:
@@ -149,6 +176,7 @@ class Engine
 #if LLM4D_AUDIT_ENABLED
     Time auditLastWhen_ = -1;     ///< timestamp of the last executed event
     EventId auditLastSeq_ = 0;    ///< its scheduling sequence number
+    bool auditAdmitTies_ = false; ///< see auditAdmitTiesForTest()
 #endif
 };
 

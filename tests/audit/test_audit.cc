@@ -51,6 +51,19 @@ TEST(AuditEngineDeath, ClockMovedPastPendingEventAborts)
     EXPECT_DEATH(victim(), "audit\\[engine\\]");
 }
 
+TEST(AuditEngineDeath, AdvanceOntoQueuedEventAborts)
+{
+    // Weaken tryAdvanceTo's guard so it admits a tie: the re-stated
+    // strictly-before-head invariant must still catch it.
+    auto victim = [] {
+        Engine eng;
+        eng.schedule(100 * kUs, [] {});
+        eng.auditAdmitTiesForTest();
+        (void)eng.tryAdvanceTo(100 * kUs);
+    };
+    EXPECT_DEATH(victim(), "audit\\[engine\\]");
+}
+
 TEST(AuditSim, CleanTrainRunPasses)
 {
     const TrainRunSim sim(smallConfig());

@@ -100,6 +100,7 @@ expectBitwiseEqual(const TrainRunReport &a, const TrainRunReport &b)
     EXPECT_EQ(a.faults.host_crash, b.faults.host_crash);
     EXPECT_EQ(a.faults.link_flaps, b.faults.link_flaps);
     EXPECT_EQ(a.faults.stragglers, b.faults.stragglers);
+    EXPECT_EQ(a.engine_events, b.engine_events);
     ASSERT_EQ(a.timeline.size(), b.timeline.size());
     for (std::size_t k = 0; k < a.timeline.size(); ++k) {
         const FaultEvent &x = a.timeline[k];
@@ -386,6 +387,74 @@ TEST(TrainRunSim, AsyncCheckpointOverlapsTheDrain)
               async_sim.checkpoint().snapshotSeconds());
     EXPECT_EQ(sync_sim.blockingSaveSeconds(),
               sync_sim.checkpoint().saveSeconds());
+}
+
+TEST(TrainRunSim, FaultFreeStepsRunWithoutOneEventEach)
+{
+    // Between queued events the steps run inline: a fault-free run
+    // needs an Engine event only for its checkpoint writes, not one per
+    // step.
+    TrainRunConfig cfg = baseConfig();
+    disableAllFaults(cfg);
+    const TrainRunReport rep = TrainRunSim(cfg).run();
+    ASSERT_TRUE(rep.completed);
+    ASSERT_EQ(rep.steps_committed, 400);
+    EXPECT_GT(rep.engine_events, 0);
+    EXPECT_LE(rep.engine_events * 10, rep.steps_committed)
+        << rep.engine_events << " events for " << rep.steps_committed
+        << " steps";
+}
+
+TEST(TrainRunSim, DrainEndingOnAStepEndRunsBeforeTheNextStep)
+{
+    // Fault-free async run whose first drain completes on the exact
+    // nanosecond a drain-slowed step ends. The drain was scheduled
+    // before that step, so FIFO order runs it first and the step after
+    // the tie is priced without drain_step_slowdown.
+    TrainRunConfig cfg = baseConfig();
+    disableAllFaults(cfg);
+    cfg.total_steps = 80;
+    cfg.checkpoint_interval_steps = 40;
+    cfg.policy.checkpoint_mode = CheckpointMode::Async;
+    cfg.storage.async.drain_step_slowdown = 1.5;
+    cfg.storage.write_gbps_per_host = 8.0;
+    const std::int64_t interval = cfg.checkpoint_interval_steps;
+
+    // Size the barrier so the drain lasts exactly k slowed steps.
+    const TrainRunSim probe(cfg);
+    const double base_s = probe.baseStep().step_seconds;
+    const Time step = secondsToTime(base_s);
+    const Time slowed = secondsToTime(base_s * 1.5);
+    const double bytes_s =
+        probe.checkpoint().drainSeconds() - cfg.storage.barrier_seconds;
+    const double slowed_s = timeToSeconds(slowed);
+    const auto k =
+        static_cast<std::int64_t>(std::ceil(bytes_s / slowed_s)) + 2;
+    ASSERT_LT(k, interval) << "the tie must come before the next boundary";
+    cfg.storage.barrier_seconds = timeToSeconds(k * slowed) - bytes_s;
+    ASSERT_GT(cfg.storage.barrier_seconds, 0.0);
+
+    const TrainRunSim sim(cfg);
+    const Time drain = secondsToTime(sim.checkpoint().drainSeconds());
+    const Time snapshot = secondsToTime(sim.checkpoint().snapshotSeconds());
+    ASSERT_EQ(sim.baseStep().step_seconds, base_s);
+    // The tie: the k-th slowed step after the snapshot ends exactly when
+    // the drain does.
+    ASSERT_EQ(drain, k * slowed);
+    ASSERT_NE(step, slowed);
+
+    const TrainRunReport rep = sim.run();
+    ASSERT_TRUE(rep.completed);
+    // Steps, snapshot, k slowed steps up to the tie, the rest of the
+    // second interval at full speed, then the final snapshot and the
+    // stall on its drain. Pricing one more step slowed would add
+    // slowed - step.
+    const Time wall = interval * step + snapshot + k * slowed +
+                      (interval - k) * step + snapshot + drain;
+    EXPECT_EQ(rep.wall_seconds, timeToSeconds(wall));
+    EXPECT_NEAR(rep.degraded_seconds,
+                static_cast<double>(k) * (base_s * 1.5 - base_s),
+                1e-9 * rep.wall_seconds);
 }
 
 TEST(TrainRunSim, PolicyMatrixKeepsInvariantsAndCommonRandomNumbers)

@@ -194,6 +194,84 @@ TEST(Engine, InterruptPatternCancelsInFlightCompletion)
     EXPECT_EQ(eng.now(), 100 * kUs);
 }
 
+TEST(Engine, TryAdvanceToMovesClockOnEmptyQueue)
+{
+    Engine eng;
+    EXPECT_TRUE(eng.tryAdvanceTo(10 * kUs));
+    EXPECT_EQ(eng.now(), 10 * kUs);
+    EXPECT_TRUE(eng.tryAdvanceTo(10 * kUs)) << "advancing to now() is fine";
+    EXPECT_EQ(eng.eventsProcessed(), 0);
+}
+
+TEST(Engine, TryAdvanceToMovesClockWhenHeadIsStrictlyLater)
+{
+    Engine eng;
+    int fired = 0;
+    eng.schedule(20 * kUs, [&] { ++fired; });
+    EXPECT_TRUE(eng.tryAdvanceTo(20 * kUs - 1));
+    EXPECT_EQ(eng.now(), 20 * kUs - 1);
+    EXPECT_EQ(fired, 0) << "tryAdvanceTo never runs a callback";
+    EXPECT_EQ(eng.eventsProcessed(), 0);
+    eng.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eng.eventsProcessed(), 1);
+}
+
+TEST(Engine, TryAdvanceToRefusesATieWithTheHead)
+{
+    // An event queued at exactly t was scheduled before any work the
+    // caller would do inline at t, so FIFO order says it runs first.
+    Engine eng;
+    eng.schedule(20 * kUs, [] {});
+    EXPECT_FALSE(eng.tryAdvanceTo(20 * kUs));
+    EXPECT_EQ(eng.now(), 0);
+}
+
+TEST(Engine, TryAdvanceToRefusesPastTheHead)
+{
+    Engine eng;
+    eng.schedule(20 * kUs, [] {});
+    EXPECT_FALSE(eng.tryAdvanceTo(30 * kUs));
+    EXPECT_EQ(eng.now(), 0);
+    EXPECT_EQ(eng.eventsProcessed(), 0);
+}
+
+TEST(Engine, TryAdvanceToCountsACancelledHead)
+{
+    // Conservative: a cancelled event still queued blocks the advance.
+    Engine eng;
+    const EventId id = eng.schedule(20 * kUs, [] {});
+    EXPECT_TRUE(eng.cancel(id));
+    EXPECT_TRUE(eng.idle());
+    EXPECT_FALSE(eng.tryAdvanceTo(30 * kUs));
+    EXPECT_EQ(eng.now(), 0);
+}
+
+TEST(Engine, TryAdvanceToKeepsFifoOrderForLaterEvents)
+{
+    Engine eng;
+    std::vector<int> order;
+    eng.schedule(50 * kUs, [&] { order.push_back(1); });
+    ASSERT_TRUE(eng.tryAdvanceTo(10 * kUs));
+    // Both land at 50us, after the event queued before the advance.
+    eng.schedule(40 * kUs, [&] { order.push_back(2); });
+    eng.scheduleAt(50 * kUs, [&] { order.push_back(3); });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eng.now(), 50 * kUs);
+    EXPECT_EQ(eng.eventsProcessed(), 3);
+}
+
+TEST(EngineDeath, TryAdvanceToIntoThePastAborts)
+{
+    auto victim = [] {
+        Engine eng;
+        ASSERT_TRUE(eng.tryAdvanceTo(10 * kUs));
+        (void)eng.tryAdvanceTo(5 * kUs);
+    };
+    EXPECT_DEATH(victim(), "clock advanced into the past");
+}
+
 TEST(TimeConversions, RoundTrip)
 {
     EXPECT_EQ(secondsToTime(1.0), kSec);
