@@ -16,7 +16,8 @@
 #   ./scripts/check.sh          # all four tiers
 #   ./scripts/check.sh --fast   # tier 1 + lint only
 #   ./scripts/check.sh --lint   # lint only (assumes an existing build/)
-#   ./scripts/check.sh --golden # bench stdout vs bench/golden/*.txt
+#   ./scripts/check.sh --golden # bench and example stdout vs the
+#                               # bench/golden/ and examples/golden/ captures
 #   ./scripts/check.sh --perfbench # perfbench/ build, unit tests, and a
 #                               # 0.1 s correctness run per workload
 #
@@ -79,17 +80,24 @@ golden_benches=(
     bench_tp_ablation bench_section8_hw bench_multimodal_encoder
     bench_e2e_throughput bench_goodput bench_goodput_planner
 )
+# The two examples that drive the fault stack, diffed against
+# examples/golden/*.txt the same way: fault_tolerance (instant) and
+# capacity_planner (~5 s), the only caller of tryBestGoodputPlan.
+golden_examples=(fault_tolerance capacity_planner)
 
 run_golden() {
-    echo "== golden: bench stdout vs bench/golden/ =="
+    echo "== golden: bench and example stdout vs their golden/ captures =="
     cmake --preset default
-    cmake --build --preset default -j "${jobs}" --target "${golden_benches[@]}"
-    local failed=0
-    for bench in "${golden_benches[@]}"; do
-        if diff -u "bench/golden/${bench}.txt" <("./build/bench/${bench}"); then
-            echo "ok   ${bench}"
+    cmake --build --preset default -j "${jobs}" \
+        --target "${golden_benches[@]}" "${golden_examples[@]}"
+    local failed=0 target
+    for target in "${golden_benches[@]/#/bench/}" \
+        "${golden_examples[@]/#/examples/}"; do
+        local capture="${target%%/*}/golden/${target#*/}.txt"
+        if diff -u "${capture}" <("./build/${target}"); then
+            echo "ok   ${target}"
         else
-            echo "FAIL ${bench}: stdout differs from bench/golden/${bench}.txt"
+            echo "FAIL ${target}: stdout differs from ${capture}"
             failed=1
         fi
     done

@@ -318,12 +318,4 @@ RecoveryCostModel::shrunkCluster(const ClusterSpec &cluster,
     return shrunk;
 }
 
-double
-RecoveryCostModel::loadSecondsAt(std::int64_t dp) const
-{
-    const ParallelismConfig par = shrunkPar(par_, dp);
-    const ClusterSpec cluster = shrunkCluster(cluster_, par);
-    return CheckpointModel(model_, cluster, par, storage_).loadSeconds();
-}
-
 } // namespace llm4d

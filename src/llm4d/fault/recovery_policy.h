@@ -268,9 +268,6 @@ class RecoveryCostModel
      */
     [[nodiscard]] CostBreakdown price(const RecoveryCostRequest &req) const;
 
-    /** Sharded restore cost at @p dp replicas (dp == par.dp: as-is). */
-    [[nodiscard]] double loadSecondsAt(std::int64_t dp) const;
-
     /** The parallelism layout after shrinking to @p dp replicas. */
     [[nodiscard]] static ParallelismConfig
     shrunkPar(const ParallelismConfig &par, std::int64_t dp);

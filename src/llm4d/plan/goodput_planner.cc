@@ -1,6 +1,8 @@
 #include "llm4d/plan/goodput_planner.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <tuple>
 
 #include "llm4d/simcore/common.h"
@@ -27,14 +29,13 @@ samePlan(const PlanCandidate &a, const PlanCandidate &b)
            a.schedule == b.schedule;
 }
 
-/** TrainRunConfig of one {candidate, policy, tier-cadence} sweep cell.
- *  @p hier_global_every > 0 turns the hierarchical tiers on at that
- *  global cadence; 0 forces the global-only baseline regardless of the
- *  input's storage.hier.enabled. */
+/** TrainRunConfig of one sweep cell of @p cand. A cell's
+ *  hier_global_every > 0 turns the hierarchical tiers on at that global
+ *  cadence; 0 forces the global-only baseline regardless of the input's
+ *  storage.hier.enabled. */
 TrainRunConfig
 cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
-           const RecoveryPolicy &policy, std::int64_t hier_global_every,
-           bool straggler_correlation)
+           const GoodputSweepPoint &cell)
 {
     TrainRunConfig cfg;
     cfg.job.model = in.base.model;
@@ -50,78 +51,95 @@ cellConfig(const GoodputPlanInput &in, const PlanCandidate &cand,
     cfg.checkpoint_interval_steps = 0;
     cfg.checkpoint_interval_auto = true;
     cfg.faults = in.faults;
-    cfg.faults.colocation.enabled = straggler_correlation;
+    cfg.faults.colocation.enabled = cell.straggler_correlation;
     cfg.repairs = in.repairs;
     cfg.storage = in.storage;
-    cfg.storage.hier.enabled = hier_global_every > 0;
-    if (hier_global_every > 0) {
-        cfg.storage.hier.global_every = hier_global_every;
+    const std::int64_t hier_n = cell.hier_global_every;
+    cfg.storage.hier.enabled = hier_n > 0;
+    if (hier_n > 0) {
+        cfg.storage.hier.global_every = hier_n;
         // The NVMe cadence cannot be coarser than the global one (an
         // NVMe write rides along at every global boundary anyway).
         cfg.storage.hier.nvme_every =
-            std::min(in.storage.hier.nvme_every, hier_global_every);
+            std::min(in.storage.hier.nvme_every, hier_n);
     }
     cfg.detection = in.detection;
     cfg.restart = in.restart;
-    cfg.policy = policy;
+    cfg.policy = cell.policy;
     cfg.seed = in.fault_seed;
     return cfg;
 }
 
+/**
+ * Whether a cell of @p par is one the models would refuse to build or
+ * that would only duplicate another cell:
+ *  1. regrow or partial restart needs an elastic (WarmSpare) cell: a
+ *     pool to refill or a shrink to undo, a live swap or shrink path to
+ *     restart on;
+ *  2. a non-central placement needs spares to place;
+ *  3. partial restart needs the HBM peer tier;
+ *  4. the tiers need a DP peer to mirror to (dp * cp >= 2);
+ *  5. correlation needs an enabled straggler class to correlate.
+ */
+bool
+skipCell(const GoodputPlanInput &in, const ParallelismConfig &par,
+         const GoodputSweepPoint &cell)
+{
+    const RecoveryPolicy &p = cell.policy;
+    const bool elastic = p.mode == RecoveryMode::WarmSpare;
+    const bool tiered = cell.hier_global_every > 0;
+    return ((p.allow_regrow || p.partial_restart) && !elastic) ||
+           (p.spare_placement != SparePlacementPolicy::CentralPool &&
+            p.spare_hosts == 0) ||
+           (p.partial_restart && !tiered) ||
+           (tiered && par.dp * par.cp < 2) ||
+           (cell.straggler_correlation &&
+            in.base.cluster.node.gpu.straggler_mtbf_hours <= 0.0);
+}
+
 } // namespace
 
-std::vector<RecoveryPolicy>
-GoodputPlanInput::sweepPolicies() const
+std::vector<GoodputSweepPoint>
+GoodputPlanInput::sweepCells(const ParallelismConfig &par) const
 {
-    std::vector<RecoveryPolicy> out;
-    for (const std::int64_t spares : spare_pool_options) {
-        for (const CheckpointMode ckpt : checkpoint_mode_options) {
-            for (const bool shrink : dp_shrink_options) {
-                for (const bool regrow : regrow_options) {
-                    for (const bool partial : partial_restart_options) {
-                        // WarmSpare only when the elastic paths have
-                        // something to do; otherwise the plain
-                        // full-restart baseline. Regrow is one of those
-                        // paths, but it needs a pool to refill or a
-                        // shrink to undo, so regrow-on is meaningless
-                        // (and invalid) on the full-restart baseline —
-                        // skip instead of emitting a duplicate cell.
-                        // Partial restart likewise needs a live
-                        // recovery path (swap or shrink), so it only
-                        // sweeps on the elastic combinations.
-                        const bool elastic = spares > 0 || shrink;
-                        if ((regrow || partial) && !elastic)
-                            continue;
-                        for (const SparePlacementPolicy placement :
-                             placement_options) {
-                            // Spare locations only matter when there
-                            // are spares to place.
-                            if (placement !=
-                                    SparePlacementPolicy::CentralPool &&
-                                spares == 0)
-                                continue;
-                            RecoveryPolicy policy;
-                            policy.mode = elastic
-                                              ? RecoveryMode::WarmSpare
-                                              : RecoveryMode::FullRestart;
-                            policy.spare_hosts = spares;
-                            policy.spare_placement = placement;
-                            policy.placement_migration =
-                                placement_migration && elastic;
-                            policy.allow_dp_shrink = shrink;
-                            policy.allow_regrow = regrow;
-                            policy.checkpoint_mode = ckpt;
-                            policy.partial_restart = partial;
-                            policy.straggler_rebalance =
-                                straggler_rebalance;
-                            out.push_back(policy);
-                        }
-                    }
-                }
-            }
-        }
+    validate();
+    // An odometer over the axes, outermost first: the last axis turns
+    // fastest. Adding an axis adds one size here and one assignment
+    // below.
+    using Odometer = std::array<std::size_t, 8>;
+    const Odometer sizes = {
+        spare_pool_options.size(),      checkpoint_mode_options.size(),
+        dp_shrink_options.size(),       regrow_options.size(),
+        partial_restart_options.size(), placement_options.size(),
+        hier_global_every_options.size(),
+        straggler_correlation_options.size()};
+    std::vector<GoodputSweepPoint> out;
+    for (Odometer at{};;) {
+        GoodputSweepPoint cell;
+        RecoveryPolicy &p = cell.policy;
+        p.spare_hosts = spare_pool_options[at[0]];
+        p.checkpoint_mode = checkpoint_mode_options[at[1]];
+        p.allow_dp_shrink = dp_shrink_options[at[2]];
+        p.allow_regrow = regrow_options[at[3]];
+        p.partial_restart = partial_restart_options[at[4]];
+        p.spare_placement = placement_options[at[5]];
+        cell.hier_global_every = hier_global_every_options[at[6]];
+        cell.straggler_correlation = straggler_correlation_options[at[7]];
+        // WarmSpare only when the elastic paths have something to do;
+        // otherwise the plain full-restart baseline, which never swaps,
+        // so migration rides only on elastic cells.
+        const bool elastic = p.spare_hosts > 0 || p.allow_dp_shrink;
+        p.mode = elastic ? RecoveryMode::WarmSpare : RecoveryMode::FullRestart;
+        p.placement_migration = placement_migration && elastic;
+        p.straggler_rebalance = straggler_rebalance;
+        if (!skipCell(*this, par, cell))
+            out.push_back(std::move(cell));
+        std::size_t axis = sizes.size();
+        while (axis > 0 && ++at[axis - 1] == sizes[axis - 1])
+            at[--axis] = 0;
+        if (axis == 0)
+            return out;
     }
-    return out;
 }
 
 void
@@ -158,14 +176,12 @@ std::vector<GoodputPlanCandidate>
 planGoodput(const GoodputPlanInput &in)
 {
     in.validate();
-    const std::vector<RecoveryPolicy> policies = in.sweepPolicies();
 
     // ---- Stage 1: analytic pruning to the top-K survivors. ----
+    const std::vector<PlanCandidate> plans = enumeratePlans(in.base);
     std::vector<PlanCandidate> feasible;
-    for (const PlanCandidate &cand : enumeratePlans(in.base)) {
-        if (cand.feasible)
-            feasible.push_back(cand);
-    }
+    std::copy_if(plans.begin(), plans.end(), std::back_inserter(feasible),
+                 [](const PlanCandidate &c) { return c.feasible; });
     std::sort(feasible.begin(), feasible.end(),
               [](const PlanCandidate &a, const PlanCandidate &b) {
                   return canonicalKey(a) < canonicalKey(b);
@@ -176,7 +192,7 @@ planGoodput(const GoodputPlanInput &in)
     // the Section-5.1 near-tie preference rules moved it past the raw
     // top-K cutoff — stage 2 exists to judge exactly that pick.
     if (const std::optional<PlanCandidate> preferred =
-            tryBestPlan(in.base)) {
+            preferredPlan(plans)) {
         const bool present =
             std::any_of(feasible.begin(), feasible.end(),
                         [&](const PlanCandidate &c) {
@@ -196,50 +212,21 @@ planGoodput(const GoodputPlanInput &in)
     for (const PlanCandidate &cand : feasible) {
         GoodputPlanCandidate scored;
         scored.analytic = cand;
-        scored.sweep.reserve(policies.size() *
-                             in.hier_global_every_options.size());
-        for (const RecoveryPolicy &policy : policies) {
-            for (const std::int64_t hier_n : in.hier_global_every_options) {
-                // Partial restart needs the HBM peer tier; the tiers
-                // need a DP peer to mirror to. Skip the combinations
-                // the models would (rightly) refuse to build.
-                if (policy.partial_restart && hier_n == 0)
-                    continue;
-                if (hier_n > 0 && cand.par.dp * cand.par.cp < 2)
-                    continue;
-                for (const bool corr : in.straggler_correlation_options) {
-                    // Correlation needs an enabled straggler class to
-                    // correlate; skip rather than simulate a duplicate
-                    // of the independent cell.
-                    if (corr &&
-                        in.base.cluster.node.gpu.straggler_mtbf_hours <=
-                            0.0)
-                        continue;
-                    const TrainRunSim sim(
-                        cellConfig(in, cand, policy, hier_n, corr));
-                    GoodputSweepPoint pt;
-                    pt.policy = policy;
-                    pt.hier_global_every = hier_n;
-                    pt.straggler_correlation = corr;
-                    pt.checkpoint_interval_steps =
-                        sim.checkpointIntervalSteps();
-                    pt.report = sim.run();
-                    // Idle spares are provisioned capacity: they park
-                    // whole hosts next to the job, so the per-GPU
-                    // goodput the cluster owner sees is diluted by the
-                    // pool.
-                    const double world =
-                        static_cast<double>(cand.par.worldSize());
-                    const double provisioned =
-                        world + static_cast<double>(
-                                    policy.spare_hosts *
-                                    in.base.cluster.node.gpus_per_node);
-                    pt.goodput_tflops_per_gpu =
-                        pt.report.goodput_tflops_per_gpu * world /
-                        provisioned;
-                    scored.sweep.push_back(std::move(pt));
-                }
-            }
+        scored.sweep = in.sweepCells(cand.par);
+        for (GoodputSweepPoint &pt : scored.sweep) {
+            const TrainRunSim sim(cellConfig(in, cand, pt));
+            pt.checkpoint_interval_steps = sim.checkpointIntervalSteps();
+            pt.report = sim.run();
+            // Idle spares are provisioned capacity: they park whole
+            // hosts next to the job, so the per-GPU goodput the cluster
+            // owner sees is diluted by the pool.
+            const double world = static_cast<double>(cand.par.worldSize());
+            const double provisioned =
+                world + static_cast<double>(
+                            pt.policy.spare_hosts *
+                            in.base.cluster.node.gpus_per_node);
+            pt.goodput_tflops_per_gpu =
+                pt.report.goodput_tflops_per_gpu * world / provisioned;
         }
         // A candidate with no simulable cell (e.g. dp*cp == 1 under a
         // tiers-only axis) cannot be ranked — drop it rather than

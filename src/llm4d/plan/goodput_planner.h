@@ -50,6 +50,8 @@
 
 namespace llm4d {
 
+struct GoodputSweepPoint;
+
 /** Inputs of a goodput-aware planning run. */
 struct GoodputPlanInput
 {
@@ -156,16 +158,24 @@ struct GoodputPlanInput
     /** Mitigate localized stragglers by micro-batch rebalancing. */
     bool straggler_rebalance = true;
 
-    /** The sweep grid: one RecoveryPolicy per axis combination, in a
-     *  deterministic order (mode is WarmSpare whenever spares or
-     *  shrinking give it something to do). */
-    [[nodiscard]] std::vector<RecoveryPolicy> sweepPolicies() const;
+    /**
+     * The unsimulated sweep cells of a candidate laid out as @p par: one
+     * per applicable combination of the eight axes, in a deterministic
+     * order (spares, checkpoint mode, shrink, regrow, partial restart,
+     * placement, tier cadence, correlation; the last turns fastest).
+     * Inapplicable combinations are skipped, not emitted: see the axis
+     * docs above. Mode is WarmSpare whenever spares or shrinking give
+     * it something to do. Aborts unless validate() passes.
+     */
+    [[nodiscard]] std::vector<GoodputSweepPoint>
+    sweepCells(const ParallelismConfig &par) const;
 
     /** Abort unless the sweep axes and stage-2 knobs are sane. */
     void validate() const;
 };
 
-/** One simulated {policy, spare pool} cell of a survivor's sweep. */
+/** One cell of a survivor's sweep: its axis values (policy, tier
+ *  cadence, correlation) and what the simulation made of them. */
 struct GoodputSweepPoint
 {
     RecoveryPolicy policy;
@@ -201,10 +211,9 @@ struct GoodputPlanCandidate
     /** The stage-1 analytic evaluation (par, zero, step estimate). */
     PlanCandidate analytic;
 
-    /** Every simulated sweep cell: sweepPolicies() order, with one cell
-     *  per applicable hier_global_every option inside each policy
-     *  (inapplicable combinations — partial restart without tiers,
-     *  tiers without a DP peer — are skipped, not simulated). */
+    /** Every simulated sweep cell, in GoodputPlanInput::sweepCells()
+     *  order (inapplicable combinations — partial restart without
+     *  tiers, tiers without a DP peer — are skipped, not simulated). */
     std::vector<GoodputSweepPoint> sweep;
 
     /** Index into sweep of the best cell (highest provisioned-GPU

@@ -269,39 +269,22 @@ TrainRunSim::nicSlowdown(double capacity) const
     return 1.0 + (xfer_slowdown - 1.0) * nic_share;
 }
 
-const TrainRunSim::CkptCosts &
-TrainRunSim::checkpointCostsAt(std::int64_t dp) const
+const CheckpointModel &
+TrainRunSim::checkpointAt(std::int64_t dp) const
 {
-    const auto it = ckpt_cost_cache_.find(dp);
-    if (it != ckpt_cost_cache_.end())
+    if (dp == cfg_.job.par.dp)
+        return ckpt_;
+    const auto it = shrunk_ckpt_cache_.find(dp);
+    if (it != shrunk_ckpt_cache_.end())
         return it->second;
-    const auto price = [&](const CheckpointModel &model) {
-        CkptCosts costs;
-        costs.save = model.saveSeconds();
-        costs.snapshot = model.snapshotSeconds();
-        costs.drain = model.drainSeconds();
-        costs.load = model.loadSeconds();
-        if (cfg_.storage.hier.enabled) {
-            costs.hbm_write = model.hbmMirrorSeconds();
-            costs.hbm_read = model.hbmRestoreSeconds();
-            costs.nvme_write = model.nvmeWriteSeconds();
-            costs.nvme_read = model.nvmeRestoreSeconds();
-        }
-        return costs;
-    };
-    CkptCosts costs;
-    if (dp == cfg_.job.par.dp) {
-        costs = price(ckpt_);
-    } else {
-        const ParallelismConfig par =
-            RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
-        const ClusterSpec cluster =
-            RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par);
-        const CheckpointModel model(cfg_.job.model, cluster, par,
-                                    cfg_.storage);
-        costs = price(model);
-    }
-    return ckpt_cost_cache_.emplace(dp, costs).first->second;
+    const ParallelismConfig par =
+        RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
+    const ClusterSpec cluster =
+        RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par);
+    return shrunk_ckpt_cache_
+        .emplace(dp, CheckpointModel(cfg_.job.model, cluster, par,
+                                     cfg_.storage))
+        .first->second;
 }
 
 const CostBreakdown &
@@ -767,10 +750,10 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
           }
           case RecoveryPath::Restart: {
             ++rep.restarts;
-            const CkptCosts &costs = checkpointCostsAt(dp_now);
+            const CheckpointModel &ckpt = checkpointAt(dp_now);
             const double load_s = tier == CheckpointTier::HostLocal
-                                      ? costs.nvme_read
-                                      : costs.load;
+                                      ? ckpt.nvmeRestoreSeconds()
+                                      : ckpt.loadSeconds();
             tier_restore_s += load_s;
             begin_outage(detection_s, cfg_.restart.reinit_seconds + load_s,
                          &rep.restart_seconds, true);
@@ -878,7 +861,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     };
 
     const auto start_snapshot = [&]() {
-        const double snap_s = checkpointCostsAt(dp_now).snapshot;
+        const double snap_s = checkpointAt(dp_now).snapshotSeconds();
         start_work(snap_s, [&, snap_s]() {
             // Snapshot landed in host DRAM: the steps it covers move to
             // the pending (snapshotted, not yet durable) stage and the
@@ -888,9 +871,9 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             fold_local();
             pending.absorb(nv);
             drain_active = true;
-            drain_event =
-                eng.schedule(secondsToTime(checkpointCostsAt(dp_now).drain),
-                             [&]() { on_drain_done(); });
+            drain_event = eng.schedule(
+                secondsToTime(checkpointAt(dp_now).drainSeconds()),
+                [&]() { on_drain_done(); });
             after_checkpoint();
         });
     };
@@ -924,7 +907,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             start_snapshot();
             return;
         }
-        const double save_s = checkpointCostsAt(dp_now).save;
+        const double save_s = checkpointAt(dp_now).saveSeconds();
         start_work(save_s, [&, save_s]() {
             rep.checkpoint_seconds += save_s;
             fold_local();
@@ -1024,9 +1007,9 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         const bool global_b = (ckpt_boundary + 1) % hier.global_every == 0;
         const bool nvme_b =
             global_b || (ckpt_boundary + 1) % hier.nvme_every == 0;
-        const CkptCosts &costs = checkpointCostsAt(dp_now);
-        const double local_s =
-            costs.hbm_write + (nvme_b ? costs.nvme_write : 0.0);
+        const CheckpointModel &ckpt = checkpointAt(dp_now);
+        const double local_s = ckpt.hbmMirrorSeconds() +
+                               (nvme_b ? ckpt.nvmeWriteSeconds() : 0.0);
         start_work(local_s, [&, local_s, nvme_b, global_b]() {
             ++ckpt_boundary;
             rep.checkpoint_seconds += local_s;

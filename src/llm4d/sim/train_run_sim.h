@@ -428,20 +428,6 @@ class TrainRunSim
     [[nodiscard]] const RecoveryCostModel &recovery() const { return recovery_; }
 
   private:
-    /** Blocking/overlapped checkpoint costs at one DP degree. */
-    struct CkptCosts
-    {
-        double save = 0.0;
-        double snapshot = 0.0;
-        double drain = 0.0;
-        double load = 0.0;
-        /** Hierarchical-tier costs; 0 unless storage.hier.enabled. */
-        double hbm_write = 0.0;
-        double hbm_read = 0.0;
-        double nvme_write = 0.0;
-        double nvme_read = 0.0;
-    };
-
     /**
      * Recovery-cost memo key: the request fields that shrink, regrow and
      * migrate-home pricing reads (kind, to_dp, restore_tier). Swaps are
@@ -480,8 +466,9 @@ class TrainRunSim
      */
     double nicSlowdown(double capacity) const;
 
-    /** Checkpoint pricing at DP degree @p dp (cached). */
-    const CkptCosts &checkpointCostsAt(std::int64_t dp) const;
+    /** Checkpoint pricing at DP degree @p dp (ckpt_ when @p dp is the
+     *  configured degree, memoized otherwise). */
+    const CheckpointModel &checkpointAt(std::int64_t dp) const;
 
     /** Priced shrink, regrow or migrate-home transition (memoized on
      *  RecoveryCostKey). */
@@ -511,8 +498,8 @@ class TrainRunSim
         degraded_cache_;
     /** Fault-free step reports at shrunk/regrown DP degrees. */
     mutable std::map<std::int64_t, TrainStepReport> shrunk_report_cache_;
-    /** Checkpoint costs per DP degree. */
-    mutable std::map<std::int64_t, CkptCosts> ckpt_cost_cache_;
+    /** Checkpoint models at shrunk/regrown DP degrees. */
+    mutable std::map<std::int64_t, CheckpointModel> shrunk_ckpt_cache_;
     /** The one recovery-cost memo (see RecoveryCostKey). */
     mutable std::map<RecoveryCostKey, CostBreakdown> recovery_cost_cache_;
 

@@ -157,9 +157,10 @@ TEST(RecoveryCostModel, ShrinkPaysReShardOnTopOfReInit)
     const RecoveryPolicy policy = RecoveryPolicy::elastic(0);
     EXPECT_GT(shrink, policy.swap_reinit_seconds);
     // Restore at the shrunk world is priced at that world's (larger)
-    // per-host shards.
-    EXPECT_GE(costs.loadSecondsAt(f.par.dp - 1),
-              costs.loadSecondsAt(f.par.dp));
+    // per-host shards: the shrink's Global-tier restore is the shrunk
+    // world's load, the regrow's the configured world's.
+    EXPECT_GE(costs.price(shrinkRequest(f.par.dp - 1)).restore_seconds,
+              costs.price(regrowRequest(f.par.dp)).restore_seconds);
 }
 
 TEST(RecoveryCostModel, RegrowIsPricedSymmetricToShrink)
@@ -181,8 +182,8 @@ TEST(RecoveryCostModel, RegrowIsPricedSymmetricToShrink)
         costs.price(shrinkRequest(f.par.dp - 1)).totalSeconds();
     EXPECT_LT(regrow, 10.0 * shrink);
     EXPECT_GT(regrow, 0.1 * shrink);
-    EXPECT_GE(costs.loadSecondsAt(f.par.dp - 1),
-              costs.loadSecondsAt(f.par.dp));
+    EXPECT_GE(costs.price(shrinkRequest(f.par.dp - 1)).restore_seconds,
+              costs.price(regrowRequest(f.par.dp)).restore_seconds);
 }
 
 TEST(RecoveryCostModel, PartialRestartBeatsTheGlobalSwap)

@@ -25,6 +25,10 @@ smallInput()
     return in;
 }
 
+/** Layouts with and without a DP peer to mirror to. */
+const ParallelismConfig kPeered{8, 1, 16, 16};
+const ParallelismConfig kUnpeered{8, 1, 16, 1};
+
 bool
 sameRanking(const std::vector<GoodputPlanCandidate> &a,
             const std::vector<GoodputPlanCandidate> &b)
@@ -42,7 +46,7 @@ sameRanking(const std::vector<GoodputPlanCandidate> &a,
     return true;
 }
 
-TEST(GoodputPlanner, SweepPoliciesCoverTheCrossProduct)
+TEST(GoodputPlanner, SweepCellsCoverTheCrossProduct)
 {
     GoodputPlanInput in = smallInput();
     in.spare_pool_options = {0, 4};
@@ -51,14 +55,19 @@ TEST(GoodputPlanner, SweepPoliciesCoverTheCrossProduct)
     in.dp_shrink_options = {false, true};
     in.regrow_options = {false, true};
     in.partial_restart_options = {false, true};
-    const std::vector<RecoveryPolicy> grid = in.sweepPolicies();
+    // Tiers in every cell, so partial restart applies wherever the
+    // policy gives it a live recovery path.
+    in.hier_global_every_options = {16};
+    const std::vector<GoodputSweepPoint> grid = in.sweepCells(kPeered);
     // 2x2x2 base combinations; the six elastic ones are quadrupled by
     // the regrow and partial axes, the two full-restart baselines (no
     // spares, no shrink) collapse both axes: 6*4 + 2.
     EXPECT_EQ(grid.size(), 26u);
     std::int64_t regrow_cells = 0;
     std::int64_t partial_cells = 0;
-    for (const RecoveryPolicy &p : grid) {
+    for (const GoodputSweepPoint &cell : grid) {
+        const RecoveryPolicy &p = cell.policy;
+        EXPECT_EQ(cell.hier_global_every, 16);
         // WarmSpare exactly when the elastic paths have something to do.
         const bool elastic = p.spare_hosts > 0 || p.allow_dp_shrink;
         EXPECT_EQ(p.mode, elastic ? RecoveryMode::WarmSpare
@@ -77,6 +86,9 @@ TEST(GoodputPlanner, SweepPoliciesCoverTheCrossProduct)
     }
     EXPECT_EQ(regrow_cells, 12);
     EXPECT_EQ(partial_cells, 12);
+    // Without a DP peer there is no tier to mirror to: every cell of a
+    // tiers-only grid is skipped.
+    EXPECT_TRUE(in.sweepCells(kUnpeered).empty());
 }
 
 TEST(GoodputPlanner, RegrowAxisCollapsesOnTheFullRestartBaseline)
@@ -88,9 +100,9 @@ TEST(GoodputPlanner, RegrowAxisCollapsesOnTheFullRestartBaseline)
     in.regrow_options = {false, true};
     // Nothing for regrow to do: the axis must not duplicate the cell —
     // and the partial-restart axis collapses on the same baseline.
-    EXPECT_EQ(in.sweepPolicies().size(), 1u);
+    EXPECT_EQ(in.sweepCells(kPeered).size(), 1u);
     in.partial_restart_options = {false, true};
-    EXPECT_EQ(in.sweepPolicies().size(), 1u);
+    EXPECT_EQ(in.sweepCells(kPeered).size(), 1u);
 }
 
 TEST(GoodputPlanner, TierAxesSweepOnlyWhereTheyApply)
@@ -149,12 +161,13 @@ TEST(GoodputPlanner, PlacementAxisSweepsOnlyWherePoolsExist)
     in.placement_options = {SparePlacementPolicy::CentralPool,
                             SparePlacementPolicy::PerPodReserve};
     in.placement_migration = true;
-    const std::vector<RecoveryPolicy> grid = in.sweepPolicies();
+    const std::vector<GoodputSweepPoint> grid = in.sweepCells(kPeered);
     // spares=0 collapses to the one CentralPool baseline; spares=4
     // sweeps both placements: 1 + 2.
     ASSERT_EQ(grid.size(), 3u);
     std::int64_t per_pod_cells = 0;
-    for (const RecoveryPolicy &p : grid) {
+    for (const GoodputSweepPoint &cell : grid) {
+        const RecoveryPolicy &p = cell.policy;
         if (p.spare_placement == SparePlacementPolicy::PerPodReserve) {
             ++per_pod_cells;
             EXPECT_GT(p.spare_hosts, 0);
@@ -167,10 +180,47 @@ TEST(GoodputPlanner, PlacementAxisSweepsOnlyWherePoolsExist)
     EXPECT_EQ(per_pod_cells, 1);
     // The default single-option axis leaves the legacy grid untouched.
     GoodputPlanInput legacy = smallInput();
-    for (const RecoveryPolicy &p : legacy.sweepPolicies()) {
-        EXPECT_EQ(p.spare_placement, SparePlacementPolicy::CentralPool);
-        EXPECT_FALSE(p.placement_migration);
+    for (const GoodputSweepPoint &cell : legacy.sweepCells(kPeered)) {
+        EXPECT_EQ(cell.policy.spare_placement,
+                  SparePlacementPolicy::CentralPool);
+        EXPECT_FALSE(cell.policy.placement_migration);
     }
+}
+
+TEST(GoodputPlanner, CorrelationAxisDoublesTheCellsOfAStragglerClass)
+{
+    GoodputPlanInput in = smallInput();
+    ASSERT_GT(in.base.cluster.node.gpu.straggler_mtbf_hours, 0.0);
+    const std::vector<GoodputSweepPoint> independent =
+        in.sweepCells(kPeered);
+    in.straggler_correlation_options = {false, true};
+    const std::vector<GoodputSweepPoint> grid = in.sweepCells(kPeered);
+    ASSERT_EQ(grid.size(), 2 * independent.size());
+    // Correlation is the fastest axis: each independent cell is
+    // followed by its correlated twin.
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const GoodputSweepPoint &twin = independent[i / 2];
+        EXPECT_EQ(grid[i].straggler_correlation, i % 2 == 1);
+        EXPECT_EQ(grid[i].policy.spare_hosts, twin.policy.spare_hosts);
+        EXPECT_EQ(grid[i].policy.checkpoint_mode,
+                  twin.policy.checkpoint_mode);
+        EXPECT_EQ(grid[i].policy.allow_dp_shrink,
+                  twin.policy.allow_dp_shrink);
+        EXPECT_EQ(grid[i].hier_global_every, twin.hier_global_every);
+    }
+}
+
+TEST(GoodputPlanner, CorrelationAxisCollapsesWithoutAStragglerClass)
+{
+    GoodputPlanInput in = smallInput();
+    in.base.cluster.node.gpu.straggler_mtbf_hours = 0.0;
+    const std::size_t independent = in.sweepCells(kPeered).size();
+    in.straggler_correlation_options = {false, true};
+    const std::vector<GoodputSweepPoint> grid = in.sweepCells(kPeered);
+    // Nothing to correlate: the axis must not duplicate any cell.
+    EXPECT_EQ(grid.size(), independent);
+    for (const GoodputSweepPoint &cell : grid)
+        EXPECT_FALSE(cell.straggler_correlation);
 }
 
 TEST(GoodputPlanner, PerPodReservesWinAWornFleetCellAt16K)
@@ -418,6 +468,12 @@ TEST(GoodputPlanner, ValidateRejectsInsaneSweeps)
         GoodputPlanInput in = smallInput();
         in.placement_options.clear();
         EXPECT_DEATH(planGoodput(in), "sweep axis");
+    }
+    {
+        // sweepCells is public, so it validates before it indexes.
+        GoodputPlanInput in = smallInput();
+        in.straggler_correlation_options.clear();
+        EXPECT_DEATH((void)in.sweepCells(kPeered), "sweep axis");
     }
     {
         GoodputPlanInput in = smallInput();
