@@ -80,10 +80,11 @@ golden_benches=(
     bench_tp_ablation bench_section8_hw bench_multimodal_encoder
     bench_e2e_throughput bench_goodput bench_goodput_planner
 )
-# The two examples that drive the fault stack, diffed against
-# examples/golden/*.txt the same way: fault_tolerance (instant) and
-# capacity_planner (~5 s), the only caller of tryBestGoodputPlan.
-golden_examples=(fault_tolerance capacity_planner)
+# The examples diffed against examples/golden/*.txt the same way: the
+# two that drive the fault stack, fault_tolerance (instant) and
+# capacity_planner (~5 s), the only caller of tryBestGoodputPlan; and
+# schedule_explorer (instant), the only caller of renderTimeline.
+golden_examples=(fault_tolerance capacity_planner schedule_explorer)
 
 run_golden() {
     echo "== golden: bench and example stdout vs their golden/ captures =="

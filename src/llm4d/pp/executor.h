@@ -5,9 +5,10 @@
  * @file
  * Timed execution of a pipeline schedule.
  *
- * The executor interprets per-rank instruction streams under the same
- * dependency semantics the legality checker verifies, pricing each
- * operation and each cross-rank activation/gradient hand-off:
+ * The executor interprets per-rank instruction streams with the one
+ * dependency sweep the legality checker also runs (detail::sweepSchedule
+ * in legality.h), pricing each operation and each cross-rank
+ * activation/gradient hand-off:
  *
  *   start(op) = max(end(previous op on the rank),
  *                   end(producer op) + p2p transfer)
@@ -63,9 +64,9 @@ struct OpRecord
 struct ExecResult
 {
     /**
-     * Every executed op, sorted by (start, rank, program order): records
-     * with equal start are ordered by rank, and one rank's records keep
-     * program order even when zero-duration ops share a start.
+     * Every executed op, rank-major: rank 0's records in program order,
+     * then rank 1's, and so on. Each rank runs 2 * tmb ops, so rank r's
+     * records start at index r * 2 * tmb.
      */
     std::vector<OpRecord> records;
     Time makespan = 0;
@@ -95,10 +96,10 @@ struct ExecResult
 };
 
 /**
- * Execute @p schedule under @p config. Aborts on illegal schedules
- * (checkSchedule runs first). Each rank's records leave the dependency
- * sweep in start order and are merged across ranks in O(ops log pp); there
- * is no global sort.
+ * Execute @p schedule under @p config in one dependency sweep, O(ops).
+ * Aborts on an illegal schedule with "illegal schedule: " and the reason
+ * checkSchedule gives for it: the sweep checks the structure first and
+ * reports the deadlock if a rank's stream stalls.
  */
 ExecResult executeSchedule(const Schedule &schedule,
                            const ExecConfig &config);

@@ -1,8 +1,10 @@
 #include "llm4d/pp/legality.h"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
+#include "llm4d/pp/executor.h"
 #include "llm4d/simcore/common.h"
 
 namespace llm4d {
@@ -16,15 +18,12 @@ cellIndex(const ScheduleParams &p, std::int64_t g, std::int64_t mb)
     return static_cast<std::size_t>(g * p.nmb + mb);
 }
 
-} // namespace
-
+/** Structural check: every cell exactly once per direction. */
 LegalityResult
-checkSchedule(const Schedule &schedule)
+checkStructure(const Schedule &schedule)
 {
     const ScheduleParams &p = schedule.params();
     const std::int64_t cells = p.numStages() * p.nmb;
-
-    // --- Structural check: every cell exactly once per direction. ---
     std::vector<int> fwd_seen(static_cast<std::size_t>(cells), 0);
     std::vector<int> bwd_seen(static_cast<std::size_t>(cells), 0);
     for (std::int64_t r = 0; r < p.pp; ++r) {
@@ -64,36 +63,89 @@ checkSchedule(const Schedule &schedule)
             }
         }
     }
+    return {true, ""};
+}
 
-    // --- Progress check: replay with data-availability semantics. ---
-    std::vector<bool> fwd_done(static_cast<std::size_t>(cells), false);
-    std::vector<bool> bwd_done(static_cast<std::size_t>(cells), false);
+} // namespace
+
+LegalityResult
+checkSchedule(const Schedule &schedule)
+{
+    ExecResult unpriced;
+    return detail::sweepSchedule(
+        schedule, ExecConfig::uniform(0.0, 0.0, 0.0), unpriced);
+}
+
+LegalityResult
+detail::sweepSchedule(const Schedule &schedule, const ExecConfig &config,
+                      ExecResult &result)
+{
+    if (LegalityResult shape = checkStructure(schedule); !shape)
+        return shape;
+
+    // --- Progress check: run each rank's stream in program order. ---
+    // Times are DAG-determined, so sweep order does not affect them, and
+    // the cursors the sweep stops at are the same whatever the prices.
+    const ScheduleParams &p = schedule.params();
+    const std::int64_t cells = p.numStages() * p.nmb;
+    constexpr Time kPending = -1;
+    std::vector<Time> fwd_end(static_cast<std::size_t>(cells), kPending);
+    std::vector<Time> bwd_end(static_cast<std::size_t>(cells), kPending);
+    std::vector<Time> rank_free(static_cast<std::size_t>(p.pp), 0);
     std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
+    const auto ops_per_rank = static_cast<std::size_t>(2 * p.tmb());
+    result.records.assign(static_cast<std::size_t>(p.pp) * ops_per_rank,
+                          OpRecord{});
+    result.busy.assign(static_cast<std::size_t>(p.pp), 0);
+    result.makespan = 0;
 
-    auto ready = [&](std::int64_t rank, const PipeOp &op) {
+    // When @p op's inputs are on @p rank, or kPending while a producer
+    // has not run.
+    auto ready_at = [&](std::int64_t rank, const PipeOp &op) {
         const std::int64_t g = schedule.globalStage(rank, op.stage);
-        if (op.kind == PipeOpKind::Forward) {
-            return g == 0 || fwd_done[cellIndex(p, g - 1, op.mb)];
-        }
-        if (!fwd_done[cellIndex(p, g, op.mb)])
-            return false;
-        return g == p.numStages() - 1 ||
-               bwd_done[cellIndex(p, g + 1, op.mb)];
+        auto arrival = [&](const std::vector<Time> &end, std::int64_t from) {
+            const Time produced = end[cellIndex(p, from, op.mb)];
+            if (produced == kPending)
+                return kPending;
+            const std::int64_t src = schedule.rankOfGlobalStage(from);
+            return produced + secondsToTime(config.p2p_seconds(src, rank));
+        };
+        if (op.kind == PipeOpKind::Forward)
+            return g == 0 ? Time{0} : arrival(fwd_end, g - 1);
+        const Time own_fwd = fwd_end[cellIndex(p, g, op.mb)];
+        if (own_fwd == kPending || g == p.numStages() - 1)
+            return own_fwd;
+        const Time grad = arrival(bwd_end, g + 1);
+        return grad == kPending ? kPending : std::max(own_fwd, grad);
     };
 
     bool progress = true;
     while (progress) {
         progress = false;
         for (std::int64_t r = 0; r < p.pp; ++r) {
+            const auto ur = static_cast<std::size_t>(r);
             const auto &prog = schedule.program(r);
-            auto &cursor = pc[static_cast<std::size_t>(r)];
-            while (cursor < prog.size() && ready(r, prog[cursor])) {
+            auto &cursor = pc[ur];
+            for (; cursor < prog.size(); ++cursor) {
                 const PipeOp &op = prog[cursor];
-                const std::int64_t g = schedule.globalStage(r, op.stage);
-                auto &done =
-                    op.kind == PipeOpKind::Forward ? fwd_done : bwd_done;
-                done[cellIndex(p, g, op.mb)] = true;
-                ++cursor;
+                const Time ready = ready_at(r, op);
+                if (ready == kPending)
+                    break;
+                const StageCost cost = config.stage_cost(r, op.stage, op.mb);
+                const double dur_s = op.kind == PipeOpKind::Forward
+                                         ? cost.fwd_seconds
+                                         : cost.bwd_seconds;
+                LLM4D_ASSERT(dur_s >= 0.0, "negative stage cost");
+                const Time start = std::max(rank_free[ur], ready);
+                const Time end = start + secondsToTime(dur_s);
+                rank_free[ur] = end;
+                result.busy[ur] += end - start;
+                (op.kind == PipeOpKind::Forward ? fwd_end : bwd_end)
+                    [cellIndex(p, schedule.globalStage(r, op.stage), op.mb)] =
+                    end;
+                result.records[ur * ops_per_rank + cursor] =
+                    OpRecord{r, op, start, end};
+                result.makespan = std::max(result.makespan, end);
                 progress = true;
             }
         }

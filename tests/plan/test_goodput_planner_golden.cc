@@ -19,10 +19,12 @@
  * be recaptured and reviewed row by row.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -512,6 +514,122 @@ TEST(GoodputPlannerGolden, Tiny16RankingIsBitIdentical)
         "  s1 async shrink1 regrow1 partial0 central-pool h0 corr0 warm-spare mig1 i28 ev2 0x4055932fc1656459",
         "  s1 async shrink1 regrow1 partial0 per-pod-reserve h0 corr0 warm-spare mig1 i28 ev2 0x4055a4eaa3fb4adf",
     });
+}
+
+/** Names of the TrainRunReport fields whose bits differ, timeline included. */
+std::vector<std::string>
+differingFields(const TrainRunReport &a, const TrainRunReport &b)
+{
+    std::vector<std::string> out;
+    auto check = [&out](const char *name, auto x, auto y) {
+        if constexpr (std::is_floating_point_v<decltype(x)>) {
+            if (std::bit_cast<std::uint64_t>(x) !=
+                std::bit_cast<std::uint64_t>(y))
+                out.emplace_back(name);
+        } else if (x != y) {
+            out.emplace_back(name);
+        }
+    };
+    check("completed", a.completed, b.completed);
+    check("wall_seconds", a.wall_seconds, b.wall_seconds);
+    check("ideal_seconds", a.ideal_seconds, b.ideal_seconds);
+    check("steps_committed", a.steps_committed, b.steps_committed);
+    check("steps_lost", a.steps_lost, b.steps_lost);
+    check("restarts", a.restarts, b.restarts);
+    check("spare_swaps", a.spare_swaps, b.spare_swaps);
+    check("cross_pod_swaps", a.cross_pod_swaps, b.cross_pod_swaps);
+    check("placement_migrations", a.placement_migrations,
+          b.placement_migrations);
+    check("dp_shrinks", a.dp_shrinks, b.dp_shrinks);
+    check("dp_regrows", a.dp_regrows, b.dp_regrows);
+    check("hosts_repaired", a.hosts_repaired, b.hosts_repaired);
+    check("rebalances", a.rebalances, b.rebalances);
+    check("partial_restarts", a.partial_restarts, b.partial_restarts);
+    check("tier_fallbacks", a.tier_fallbacks, b.tier_fallbacks);
+    for (std::size_t t = 0; t < a.tier_restore_seconds.size(); ++t)
+        check("tier_restore_seconds", a.tier_restore_seconds[t],
+              b.tier_restore_seconds[t]);
+    check("final_dp", a.final_dp, b.final_dp);
+    check("faults.gpu_fatal", a.faults.gpu_fatal, b.faults.gpu_fatal);
+    check("faults.host_crash", a.faults.host_crash, b.faults.host_crash);
+    check("faults.link_flaps", a.faults.link_flaps, b.faults.link_flaps);
+    check("faults.stragglers", a.faults.stragglers, b.faults.stragglers);
+    check("productive_seconds", a.productive_seconds, b.productive_seconds);
+    check("degraded_seconds", a.degraded_seconds, b.degraded_seconds);
+    check("checkpoint_seconds", a.checkpoint_seconds, b.checkpoint_seconds);
+    check("lost_seconds", a.lost_seconds, b.lost_seconds);
+    check("detection_seconds", a.detection_seconds, b.detection_seconds);
+    check("restart_seconds", a.restart_seconds, b.restart_seconds);
+    check("spare_swap_seconds", a.spare_swap_seconds, b.spare_swap_seconds);
+    check("shrink_seconds", a.shrink_seconds, b.shrink_seconds);
+    check("regrow_seconds", a.regrow_seconds, b.regrow_seconds);
+    check("drain_stall_seconds", a.drain_stall_seconds,
+          b.drain_stall_seconds);
+    check("displacement_seconds", a.displacement_seconds,
+          b.displacement_seconds);
+    check("goodput_tflops_per_gpu", a.goodput_tflops_per_gpu,
+          b.goodput_tflops_per_gpu);
+    check("base_tflops_per_gpu", a.base_tflops_per_gpu,
+          b.base_tflops_per_gpu);
+    check("availability", a.availability, b.availability);
+    check("engine_events", a.engine_events, b.engine_events);
+    check("timeline.size", a.timeline.size(), b.timeline.size());
+    for (std::size_t k = 0;
+         k < std::min(a.timeline.size(), b.timeline.size()); ++k) {
+        const FaultEvent &x = a.timeline[k];
+        const FaultEvent &y = b.timeline[k];
+        check("timeline.kind", x.kind, y.kind);
+        check("timeline.when", x.when, y.when);
+        check("timeline.component", x.component, y.component);
+        check("timeline.severity", x.severity, y.severity);
+        check("timeline.duration", x.duration, y.duration);
+    }
+    return out;
+}
+
+TEST(GoodputPlannerGolden, Worn2kUnshrinkableShrinkCellsMatchShrinkFree)
+{
+    // Neither worn 2K survivor ever shrinks. Without spares, a cell that
+    // allows DP shrink (with or without its regrow and partial-restart
+    // riders) runs warm-spare instead of full-restart, yet must produce
+    // the whole report of its shrink-free twin: the cell with the same
+    // checkpoint mode, placement, tier cadence and correlation.
+    const std::vector<GoodputPlanCandidate> ranked = planGoodput(worn2k());
+    ASSERT_EQ(ranked.size(), 2u);
+    EXPECT_EQ(ranked[0].analytic.par.dp, 16);
+    EXPECT_EQ(ranked[1].analytic.par.dp, 128);
+    for (const GoodputPlanCandidate &cand : ranked) {
+        SCOPED_TRACE(cand.analytic.par.str());
+        auto twinOf = [&](const GoodputSweepPoint &pt) {
+            for (const GoodputSweepPoint &twin : cand.sweep) {
+                const RecoveryPolicy &p = twin.policy;
+                if (p.spare_hosts == 0 && !p.allow_dp_shrink &&
+                    p.checkpoint_mode == pt.policy.checkpoint_mode &&
+                    p.spare_placement == pt.policy.spare_placement &&
+                    twin.hier_global_every == pt.hier_global_every &&
+                    twin.straggler_correlation == pt.straggler_correlation)
+                    return &twin;
+            }
+            return static_cast<const GoodputSweepPoint *>(nullptr);
+        };
+        std::size_t pairs = 0;
+        for (const GoodputSweepPoint &pt : cand.sweep) {
+            EXPECT_EQ(pt.report.dp_shrinks, 0);
+            if (pt.policy.spare_hosts != 0 || !pt.policy.allow_dp_shrink)
+                continue;
+            const GoodputSweepPoint *twin = twinOf(pt);
+            ASSERT_NE(twin, nullptr);
+            EXPECT_EQ(differingFields(pt.report, twin->report),
+                      std::vector<std::string>{})
+                << toString(pt.policy.checkpoint_mode) << " regrow"
+                << pt.policy.allow_regrow << " partial"
+                << pt.policy.partial_restart << " h"
+                << pt.hier_global_every << " corr"
+                << pt.straggler_correlation;
+            ++pairs;
+        }
+        EXPECT_EQ(pairs, 24u);
+    }
 }
 
 } // namespace

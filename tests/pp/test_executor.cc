@@ -1,6 +1,13 @@
 #include "llm4d/pp/executor.h"
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "llm4d/pp/legality.h"
 
 namespace llm4d {
 namespace {
@@ -140,9 +147,15 @@ TEST(Executor, RecordsAreComplete)
     ExecResult r = executeSchedule(s, ExecConfig::uniform(kF, kB, 0.0));
     EXPECT_EQ(r.records.size(),
               static_cast<std::size_t>(p.pp * 2 * p.tmb()));
-    // Sorted by start time.
-    for (std::size_t i = 1; i < r.records.size(); ++i)
-        EXPECT_LE(r.records[i - 1].start, r.records[i].start);
+    // Rank-major, and each rank's records in start order.
+    for (std::size_t i = 1; i < r.records.size(); ++i) {
+        const OpRecord &prev = r.records[i - 1];
+        const OpRecord &rec = r.records[i];
+        EXPECT_LE(prev.rank, rec.rank);
+        if (prev.rank == rec.rank) {
+            EXPECT_LE(prev.start, rec.start);
+        }
+    }
     // opEnd finds a known op.
     EXPECT_GT(r.opEnd(0, PipeOpKind::Forward, 0, 0), 0);
 }
@@ -191,40 +204,110 @@ TEST(Executor, PerMicroBatchCostVariation)
 TEST(Executor, ZeroDurationTiesKeepProgramOrder)
 {
     // Zero-cost ops all start at t = 0 (forwards) or share a start with
-    // their neighbours (zero backwards). Records with equal start must be
-    // ordered by rank and, within a rank, by program order: gradient
-    // memory walks a rank's records in this order to decide when a
-    // buffer first materializes.
+    // their neighbours (zero backwards). Records are rank-major and keep
+    // program order within a rank even on such ties: gradient memory
+    // walks a rank's records in this order to decide when a buffer first
+    // materializes.
     const ScheduleParams p{4, 2, 8, 4};
     const Schedule s = buildFlexible(p);
+    const auto ops_per_rank = static_cast<std::size_t>(2 * p.tmb());
     for (const ExecConfig &cfg :
          {ExecConfig::uniform(0.0, 0.0, 0.0),
           ExecConfig::uniform(0.0, kB, 0.0)}) {
         const ExecResult r = executeSchedule(s, cfg);
         ASSERT_EQ(r.records.size(),
-                  static_cast<std::size_t>(2 * p.pp * p.tmb()));
-        std::vector<std::size_t> pc(static_cast<std::size_t>(p.pp), 0);
+                  static_cast<std::size_t>(p.pp) * ops_per_rank);
         for (std::size_t i = 0; i < r.records.size(); ++i) {
             const OpRecord &rec = r.records[i];
-            auto &next = pc[static_cast<std::size_t>(rec.rank)];
-            ASSERT_EQ(rec.op, s.program(rec.rank)[next]) << "record " << i;
-            ++next;
-            if (i == 0)
-                continue;
-            const OpRecord &prev = r.records[i - 1];
-            ASSERT_LE(prev.start, rec.start) << "record " << i;
-            if (prev.start == rec.start) {
-                ASSERT_LE(prev.rank, rec.rank) << "record " << i;
+            const auto rank = static_cast<std::int64_t>(i / ops_per_rank);
+            ASSERT_EQ(rec.rank, rank) << "record " << i;
+            ASSERT_EQ(rec.op, s.program(rank)[i % ops_per_rank])
+                << "record " << i;
+            if (i % ops_per_rank != 0) {
+                ASSERT_LE(r.records[i - 1].start, rec.start)
+                    << "record " << i;
             }
         }
     }
-    // All-zero costs: everything starts at 0, so the records are rank 0's
-    // whole program, then rank 1's, and so on.
-    const ExecResult zero =
-        executeSchedule(s, ExecConfig::uniform(0.0, 0.0, 0.0));
-    EXPECT_EQ(zero.makespan, 0);
-    EXPECT_EQ(zero.records.front().rank, 0);
-    EXPECT_EQ(zero.records.back().rank, p.pp - 1);
+    // All-zero costs tie every start at 0.
+    EXPECT_EQ(
+        executeSchedule(s, ExecConfig::uniform(0.0, 0.0, 0.0)).makespan, 0);
+}
+
+/** @p text as a POSIX extended regex that matches it literally. */
+std::string
+literalRegex(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (std::string_view("\\^$.|?*+()[]{}").find(c) !=
+            std::string_view::npos)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+/**
+ * A Schedule fixes each rank's op count, so a missing op always comes
+ * with a duplicate of another. Each illegal schedule must abort with the
+ * checker's own reason.
+ */
+void
+expectExecutorRejects(const Schedule &bad, const char *kind)
+{
+    const LegalityResult legal = checkSchedule(bad);
+    ASSERT_FALSE(legal.legal);
+    EXPECT_NE(legal.reason.find(kind), std::string::npos) << legal.reason;
+    EXPECT_DEATH(
+        (void)executeSchedule(bad, ExecConfig::uniform(kF, kB, 0.0)),
+        literalRegex("illegal schedule: " + legal.reason));
+}
+
+/** buildFlexible({2, 1, 2, 2}) with rank 0's backward of mb 1 replaced. */
+Schedule
+withRank0Backward1Replaced(const PipeOp &replacement)
+{
+    const Schedule good = buildFlexible(ScheduleParams{2, 1, 2, 2});
+    std::vector<std::vector<PipeOp>> progs = {good.program(0),
+                                              good.program(1)};
+    for (PipeOp &op : progs[0]) {
+        if (op.kind == PipeOpKind::Backward && op.mb == 1) {
+            op = replacement;
+            break;
+        }
+    }
+    return Schedule(ScheduleKind::Flexible, good.params(), std::move(progs));
+}
+
+TEST(ExecutorDeathTest, RejectsDuplicateOp)
+{
+    expectExecutorRejects(
+        withRank0Backward1Replaced(PipeOp{PipeOpKind::Backward, 0, 0}),
+        "duplicate backward");
+}
+
+TEST(ExecutorDeathTest, RejectsMissingBackward)
+{
+    expectExecutorRejects(
+        withRank0Backward1Replaced(PipeOp{PipeOpKind::Forward, 0, 0}),
+        "duplicate forward");
+}
+
+TEST(ExecutorDeathTest, RejectsDeadlockingStream)
+{
+    // Rank 1 runs micro-batch 1 first, but rank 0 only forwards it after
+    // its backward of micro-batch 0, which waits on rank 1. Cycle.
+    using K = PipeOpKind;
+    std::vector<std::vector<PipeOp>> progs(2);
+    progs[0] = {{K::Forward, 0, 0}, {K::Backward, 0, 0},
+                {K::Forward, 0, 1}, {K::Backward, 0, 1}};
+    progs[1] = {{K::Forward, 0, 1}, {K::Backward, 0, 1},
+                {K::Forward, 0, 0}, {K::Backward, 0, 0}};
+    expectExecutorRejects(Schedule(ScheduleKind::Flexible,
+                                   ScheduleParams{2, 1, 2, 2},
+                                   std::move(progs)),
+                          "deadlock: rank 0 blocked at op 1");
 }
 
 } // namespace

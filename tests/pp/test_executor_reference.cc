@@ -1,9 +1,10 @@
 /**
- * The executor against the algorithms it replaced: the peak in-flight
- * count by scanning and sorting one rank's events, and the record order
- * by sorting the per-rank records on (start, rank). Swept over all three
- * schedule kinds and many (pp, v, nmb, nc) shapes with uneven, partly
- * zero stage costs so that starts tie both across and within ranks.
+ * The executor against the algorithm it replaced, the peak in-flight
+ * count by scanning and sorting one rank's events, and against its record
+ * layout: each rank's program, rank-major, each rank in start order.
+ * Swept over all three schedule kinds and many (pp, v, nmb, nc) shapes
+ * with uneven, partly zero stage costs so that starts tie both across and
+ * within ranks.
  */
 
 #include <algorithm>
@@ -122,36 +123,22 @@ TEST(ExecutorReference, RecordsAreTheSortedPerRankRecords)
                      << " v=" << p.v << " nmb=" << p.nmb << " nc=" << p.nc);
         const ExecResult exec = executeSchedule(s, cfg);
 
-        // Unmerged per-rank records: each rank's records, which must be
-        // exactly its program, in program order.
-        std::vector<OpRecord> per_rank;
+        // Rank 0's program, then rank 1's, and so on; within a rank each
+        // op starts no earlier than its predecessor ends.
+        std::size_t i = 0;
         for (std::int64_t r = 0; r < p.pp; ++r) {
-            std::size_t pc = 0;
-            for (const OpRecord &rec : exec.records) {
-                if (rec.rank != r)
-                    continue;
-                ASSERT_LT(pc, s.program(r).size());
-                ASSERT_EQ(rec.op, s.program(r)[pc++]) << "rank " << r;
-                per_rank.push_back(rec);
+            for (std::size_t pc = 0; pc < s.program(r).size(); ++pc, ++i) {
+                ASSERT_LT(i, exec.records.size());
+                const OpRecord &rec = exec.records[i];
+                ASSERT_EQ(rec.rank, r) << "record " << i;
+                ASSERT_EQ(rec.op, s.program(r)[pc]) << "record " << i;
+                if (pc > 0) {
+                    ASSERT_LE(exec.records[i - 1].end, rec.start)
+                        << "record " << i;
+                }
             }
-            ASSERT_EQ(pc, s.program(r).size()) << "rank " << r;
         }
-        ASSERT_EQ(per_rank.size(), exec.records.size());
-
-        // The documented order, (start, rank, program order), is a stable
-        // sort of the rank-major records on (start, rank).
-        std::stable_sort(per_rank.begin(), per_rank.end(),
-                         [](const OpRecord &a, const OpRecord &b) {
-                             if (a.start != b.start)
-                                 return a.start < b.start;
-                             return a.rank < b.rank;
-                         });
-        for (std::size_t i = 0; i < per_rank.size(); ++i) {
-            ASSERT_EQ(exec.records[i].rank, per_rank[i].rank) << i;
-            ASSERT_EQ(exec.records[i].op, per_rank[i].op) << i;
-            ASSERT_EQ(exec.records[i].start, per_rank[i].start) << i;
-            ASSERT_EQ(exec.records[i].end, per_rank[i].end) << i;
-        }
+        ASSERT_EQ(i, exec.records.size());
     }
 }
 

@@ -3,10 +3,12 @@
  *
  * Each expected value is an IEEE-754 bit pattern captured from the
  * simulator when DocMask still stored per-token document starts and the
- * executor still sorted its records. Pinning the bits (not a tolerance)
- * means a later change of mask layout, pair counting or record order that
- * drifts any report by one ulp fails here instead of silently moving the
- * paper-vs-measured tables.
+ * executor still sorted its records; they held unchanged when the records
+ * became rank-major and legality moved into the executor's one dependency
+ * sweep. Pinning the bits (not a tolerance) means a later change of mask
+ * layout, pair counting, record layout or sweep that drifts any report by
+ * one ulp fails here instead of silently moving the paper-vs-measured
+ * tables.
  */
 
 #include <bit>
