@@ -16,7 +16,8 @@
 #   ./scripts/check.sh          # all four tiers
 #   ./scripts/check.sh --fast   # tier 1 + lint only
 #   ./scripts/check.sh --lint   # lint only (assumes an existing build/)
-#   ./scripts/check.sh --golden # bench and example stdout vs the
+#   ./scripts/check.sh --golden # bench and example stdout (and the two
+#                               # goodput benches' --smoke output) vs the
 #                               # bench/golden/ and examples/golden/ captures
 #   ./scripts/check.sh --perfbench # perfbench/ build, unit tests, and a
 #                               # 0.1 s correctness run per workload
@@ -85,6 +86,21 @@ golden_benches=(
 # capacity_planner (~5 s), the only caller of tryBestGoodputPlan; and
 # schedule_explorer (instant), the only caller of renderTimeline.
 golden_examples=(fault_tolerance capacity_planner schedule_explorer)
+# The two goodput benches also run with --smoke (the placement cells and
+# the correlated-straggler CRN pair), diffed against <bench>_smoke.txt.
+golden_smokes=(bench_goodput bench_goodput_planner)
+
+# check_golden <capture> <dir>/<binary> [args]: diff the run's stdout.
+check_golden() {
+    local capture="$1"
+    shift
+    if diff -u "${capture}" <("./build/$1" "${@:2}"); then
+        echo "ok   $*"
+    else
+        echo "FAIL $*: stdout differs from ${capture}"
+        return 1
+    fi
+}
 
 run_golden() {
     echo "== golden: bench and example stdout vs their golden/ captures =="
@@ -94,13 +110,12 @@ run_golden() {
     local failed=0 target
     for target in "${golden_benches[@]/#/bench/}" \
         "${golden_examples[@]/#/examples/}"; do
-        local capture="${target%%/*}/golden/${target#*/}.txt"
-        if diff -u "${capture}" <("./build/${target}"); then
-            echo "ok   ${target}"
-        else
-            echo "FAIL ${target}: stdout differs from ${capture}"
+        check_golden "${target%%/*}/golden/${target#*/}.txt" "${target}" ||
             failed=1
-        fi
+    done
+    for target in "${golden_smokes[@]}"; do
+        check_golden "bench/golden/${target}_smoke.txt" "bench/${target}" \
+            --smoke || failed=1
     done
     return "${failed}"
 }

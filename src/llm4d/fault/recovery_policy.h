@@ -6,9 +6,9 @@
  * Recovery-policy configuration and cost model for elastic fault
  * recovery.
  *
- * PR 1's run simulator had exactly one answer to a fatal fault: a full
- * stop-the-world restart (scheduler re-queue + NCCL re-init + sharded
- * restore). Production systems do better. MegaScale (arXiv:2402.15627)
+ * The baseline answer to a fatal fault is a full stop-the-world
+ * restart (scheduler re-queue + NCCL re-init + sharded restore).
+ * Production systems do better. MegaScale (arXiv:2402.15627)
  * keeps a pool of *warm spare* hosts and recovers by swapping the failed
  * host for a pre-provisioned replacement; when the pool runs dry it can
  * *shrink* the data-parallel dimension — drop one FSDP replica group and
@@ -84,9 +84,9 @@ struct RecoveryPolicy
 
     /**
      * Where the spares physically live (fault/spare_placement.h). The
-     * CentralPool default with placement_migration off reproduces the
-     * location-blind pre-placement model exactly: every swap is priced
-     * pod-locally and no rank is ever counted as displaced.
+     * CentralPool default with placement_migration off is location-blind
+     * pricing: every swap is priced pod-locally and no rank is ever
+     * counted as displaced.
      */
     SparePlacementPolicy spare_placement = SparePlacementPolicy::CentralPool;
 
@@ -174,11 +174,9 @@ struct RecoveryPolicy
 };
 
 /**
- * One recovery transition to price. Replaces the old positional-double
- * method family (spareSwapSeconds / partialRestartSeconds /
- * shrinkSecondsFromTier(to_dp, tier) / regrowSeconds(to_dp)): call
- * sites name what they are asking for, and placement-dependent fields
- * (spare_path) cannot be forgotten silently.
+ * One recovery transition to price. Call sites name what they are
+ * asking for, and placement-dependent fields (spare_path) cannot be
+ * forgotten silently.
  */
 struct RecoveryCostRequest
 {

@@ -5,9 +5,9 @@
  * @file
  * Deterministic host/GPU repair process for elastic re-expansion.
  *
- * PR 2's elastic stack can swap spares and shrink the DP dimension, but
- * a shrink was permanent: the run limped at reduced DP forever. In
- * production the story continues — MegaScale (arXiv:2402.15627) returns
+ * The elastic stack can swap spares and shrink the DP dimension, but
+ * without repairs a shrink is permanent: the run limps at reduced DP
+ * forever. In production the story continues — MegaScale (arXiv:2402.15627) returns
  * repaired hosts to the scheduler, which re-admits them into the job so
  * the data-parallel width regrows at a re-shard cost symmetric to the
  * shrink. This model supplies the missing half: every fatal fault's

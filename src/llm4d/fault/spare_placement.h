@@ -35,10 +35,10 @@ namespace llm4d {
 enum class SparePlacementPolicy
 {
     /**
-     * Status quo: all spares park in one dedicated spare pod. Every
-     * swap is cross-pod (the location-blind pre-placement model priced
-     * swaps as if they were pod-local; keeping CentralPool with
-     * placement pricing disabled reproduces that exactly).
+     * All spares park in one dedicated spare pod, so every claim is
+     * cross-pod. Without placement_migration the policy is
+     * location-blind (RecoveryPolicy::placementAware() is false): swaps
+     * are priced as pod-local and no rank counts as displaced.
      */
     CentralPool,
 

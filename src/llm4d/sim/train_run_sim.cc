@@ -128,8 +128,6 @@ TrainRunSim::TrainRunSim(TrainRunConfig cfg)
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
                 cfg_.storage, cfg_.policy)
 {
-    flops_per_gpu_step_ =
-        base_.tflops_per_gpu * 1e12 * base_.step_seconds;
 }
 
 double
@@ -392,11 +390,15 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         bool mitigated = false;    ///< micro-batches rebalanced away
         double residual = 1.0;     ///< post-rebalance step multiplier
     };
-    enum class AsyncWait
+    /** What holds the run's foreground right now. */
+    enum class Busy
     {
-        None,     ///< no one is blocked on the drain
-        Snapshot, ///< a snapshot wants the single host buffer
-        Final,    ///< finish/eviction blocks until durability
+        Idle,          ///< nothing; the next step may start
+        Work,          ///< a step or checkpoint write is in flight
+        Outage,        ///< a recovery or pause is running
+        SnapshotStall, ///< a snapshot waits for the single host buffer
+        FinalStall,    ///< a finish or eviction waits for durability
+        Stopped,       ///< finished (rep.completed) or truncated
     };
     enum class RecoveryPath
     {
@@ -416,12 +418,9 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     Work tentative; ///< completed, not yet covered by any checkpoint
     std::int64_t ckpt_boundary = 0; ///< cadence counter, never rolled back
     std::int64_t dp_now = cfg_.job.par.dp;  ///< shrinks are persistent
-    std::int64_t spares_left = pol.spare_hosts;
-    // Spare locations. Only consulted when the policy is
-    // placement-aware; the legacy location-blind model never looks, so
-    // CentralPool + placement_migration=false is bit-identical to the
-    // pre-placement simulator. When consulted, the pool mirrors
-    // spares_left exactly (claims and refills move in lock-step).
+    // The one spare ledger. Every swap claims from it and every refill
+    // returns to it; only a placement-aware policy prices the claim's
+    // location.
     SparePool spare_pool(cfg_.job.cluster, pol.spare_placement,
                          pol.spare_hosts);
     const bool placement_aware = pol.placementAware();
@@ -429,21 +428,16 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     /** Step multiplier while any rank is displaced; priced on first use. */
     std::optional<double> displaced_slowdown;
     std::int64_t warmup_left = 0;
-    bool running = false;   ///< a step or checkpoint write is in flight
-    bool down = false;      ///< an outage (recovery or pause) is running
-    bool stopped = false;   ///< finished (rep.completed) or truncated
-    bool finishing = false; ///< all steps done; final durability pending
+    Busy busy = Busy::Idle;
+    Time busy_since = 0;    ///< when the current foreground state began
+    EventId busy_event = 0; ///< end of the in-flight Work or Outage
     Time stopped_at = 0;    ///< clock when the run ended (either way)
-    Time work_started = 0;  ///< when the in-flight step or write began
-    EventId work_event = 0;  ///< its pending completion
-    EventId resume_event = 0; ///< pending service restoration
-    Time resume_at = 0;       ///< when that restoration fires
+    Time resume_at = 0;     ///< when the in-flight outage ends
     double outage_rest_s = 0.0;        ///< recovery part of the outage
     double *outage_bucket = &rep.restart_seconds; ///< where it went
+    bool finishing = false; ///< all steps done; final durability pending
     bool drain_active = false;
     EventId drain_event = 0;
-    AsyncWait wait = AsyncWait::None;
-    Time stall_started = 0;
     std::int64_t evict_rank = -1; ///< straggler awaiting durable evict
     // Ordered maps on purpose: both are iterated by event handlers, and
     // deterministic (rank-ordered) iteration is part of the engine's
@@ -505,13 +499,23 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
                tentative.steps;
     };
 
+    /** Leave Idle for @p next. Every foreground activity starts here,
+     *  so the states stay exclusive. */
+    const auto enter = [&](Busy next) {
+        LLM4D_AUDIT_CHECK("sim", busy == Busy::Idle,
+                          "foreground state " << static_cast<int>(next)
+                              << " entered while in state "
+                              << static_cast<int>(busy));
+        busy = next;
+        busy_since = eng.now();
+    };
+
     /** Run a step or a checkpoint write of @p seconds; @p done runs when
      *  it completes, unless interrupt() cancels it first. */
     const auto start_work = [&](double seconds, auto done) {
-        work_started = eng.now();
-        running = true;
-        work_event = eng.schedule(secondsToTime(seconds), [&, done]() {
-            running = false;
+        enter(Busy::Work);
+        busy_event = eng.schedule(secondsToTime(seconds), [&, done]() {
+            busy = Busy::Idle;
             done();
         });
     };
@@ -622,46 +626,43 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         outage_bucket = bucket;
         if (warmup)
             warmup_left = cfg_.restart.warmup_steps;
-        down = true;
-        running = false;
+        enter(Busy::Outage);
         const double outage_s = detection_s + rest_s;
         resume_at = eng.now() + secondsToTime(outage_s);
-        resume_event = eng.schedule(secondsToTime(outage_s), [&]() {
-            down = false;
+        busy_event = eng.schedule(secondsToTime(outage_s), [&]() {
+            busy = Busy::Idle;
             schedule_step();
         });
     };
 
-    /** Refund the un-elapsed tail of an in-progress outage (the
-     *  recovery it paid for never happens). */
-    const auto refund_outage = [&]() {
-        eng.cancel(resume_event);
-        const double remaining = timeToSeconds(resume_at - eng.now());
-        const double rest_part = std::min(remaining, outage_rest_s);
-        *outage_bucket -= rest_part;
-        rep.detection_seconds -= remaining - rest_part;
-        down = false;
-    };
-
-    /** Charge the elapsed wait on an async drain and stop waiting. */
-    const auto end_stall = [&]() {
-        rep.drain_stall_seconds += timeToSeconds(eng.now() - stall_started);
-        wait = AsyncWait::None;
-    };
-
-    /** Stop whatever is in flight: the elapsed part of a drain stall is
-     *  real wall time, a partial step or non-durable write is lost work,
-     *  and an outage's un-elapsed tail is refunded. */
+    /** Stop whatever holds the foreground and return to Idle: a partial
+     *  step or non-durable write is lost work, an outage's un-elapsed
+     *  tail is refunded (the recovery it paid for never happens), and
+     *  the elapsed part of a drain stall is real wall time. */
     const auto interrupt = [&]() {
-        if (wait != AsyncWait::None)
-            end_stall();
-        if (running) {
-            eng.cancel(work_event);
-            rep.lost_seconds += timeToSeconds(eng.now() - work_started);
-            running = false;
+        switch (busy) {
+          case Busy::Idle:
+          case Busy::Stopped:
+            return;
+          case Busy::Work:
+            eng.cancel(busy_event);
+            rep.lost_seconds += timeToSeconds(eng.now() - busy_since);
+            break;
+          case Busy::Outage: {
+            eng.cancel(busy_event);
+            const double remaining = timeToSeconds(resume_at - eng.now());
+            const double rest_part = std::min(remaining, outage_rest_s);
+            *outage_bucket -= rest_part;
+            rep.detection_seconds -= remaining - rest_part;
+            break;
+          }
+          case Busy::SnapshotStall:
+          case Busy::FinalStall:
+            rep.drain_stall_seconds +=
+                timeToSeconds(eng.now() - busy_since);
+            break;
         }
-        if (down)
-            refund_outage();
+        busy = Busy::Idle;
     };
 
     /** Where the next recovery goes: warm spare -> DP shrink -> full
@@ -670,7 +671,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     const auto recovery_path = [&]() {
         if (pol.mode != RecoveryMode::WarmSpare)
             return RecoveryPath::Restart;
-        if (spares_left > 0)
+        if (spare_pool.available() > 0)
             return RecoveryPath::Swap;
         if (pol.allow_dp_shrink && dp_now > 1 && canShrinkTo(dp_now - 1))
             return RecoveryPath::Shrink;
@@ -713,18 +714,16 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             ++rep.partial_restarts;
         switch (recovery_path()) {
           case RecoveryPath::Swap: {
-            --spares_left;
             ++rep.spare_swaps;
+            // recovery_path() saw a spare, so the claim cannot come back
+            // empty.
+            const SpareClaim claim = *spare_pool.claimNearest(victim_host);
             RecoveryCostRequest req;
             req.kind = partial ? RecoveryCostRequest::Kind::PartialRestart
                                : RecoveryCostRequest::Kind::SpareSwap;
             if (placement_aware) {
-                const auto claim = spare_pool.claimNearest(victim_host);
-                LLM4D_CHECK(claim.has_value(),
-                            "spare pool dry while the swap counter shows "
-                                << spares_left + 1 << " spares");
-                req.spare_path = claim->path;
-                if (!claim->pod_local) {
+                req.spare_path = claim.path;
+                if (!claim.pod_local) {
                     // The replacement lives in another pod: the swap is
                     // priced over the spine and the rank runs displaced
                     // until it can migrate home.
@@ -777,14 +776,13 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
      *  when an outage was started (the caller must not schedule a step —
      *  the resume will). */
     const auto maybe_reexpand = [&]() {
-        if (placement_aware && pol.placement_migration && displaced > 0 &&
+        if (pol.placement_migration && displaced > 0 &&
             repair_shop.hasReady(eng.now())) {
             while (displaced > 0 && repair_shop.hasReady(eng.now())) {
                 repair_shop.pop();
                 ++rep.hosts_repaired;
                 --displaced;
                 ++rep.placement_migrations;
-                ++spares_left;
                 spare_pool.refill();
             }
             begin_outage(
@@ -798,7 +796,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             return false;
         std::int64_t grew = 0;
         while (repair_shop.hasReady(eng.now())) {
-            const bool pool_low = spares_left < pol.spare_hosts;
+            const bool pool_low = spare_pool.available() < pol.spare_hosts;
             const bool dp_low = dp_now + grew < cfg_.job.par.dp;
             if (!pool_low && !dp_low)
                 break; // fully re-expanded; repairs wait for demand
@@ -807,13 +805,10 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             // the dropped replica's group parks with it).
             repair_shop.pop();
             ++rep.hosts_repaired;
-            if (pool_low && (pol.regrow_spares_first || !dp_low)) {
-                ++spares_left;
-                if (placement_aware)
-                    spare_pool.refill();
-            } else {
+            if (pool_low && (pol.regrow_spares_first || !dp_low))
+                spare_pool.refill();
+            else
                 ++grew;
-            }
         }
         if (grew == 0)
             return false;
@@ -841,13 +836,12 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             return;
         }
         if (drain_active) {
-            wait = AsyncWait::Final;
-            stall_started = eng.now();
+            enter(Busy::FinalStall);
             return;
         }
         if (finishing) {
             rep.completed = true;
-            stopped = true;
+            enter(Busy::Stopped);
             stopped_at = eng.now();
             return;
         }
@@ -879,15 +873,15 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     };
 
     on_drain_done = [&]() {
-        if (stopped)
+        const Busy waited = busy;
+        if (waited == Busy::Stopped)
             return;
         drain_active = false;
         make_durable(pending);
-        const AsyncWait waited = wait;
-        if (waited == AsyncWait::None)
+        if (waited != Busy::SnapshotStall && waited != Busy::FinalStall)
             return;
-        end_stall();
-        if (waited == AsyncWait::Snapshot)
+        interrupt(); // charges the stall
+        if (waited == Busy::SnapshotStall)
             start_snapshot();
         else
             after_checkpoint();
@@ -900,8 +894,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     const auto save_global = [&]() {
         if (async) {
             if (drain_active) {
-                wait = AsyncWait::Snapshot;
-                stall_started = eng.now();
+                enter(Busy::SnapshotStall);
                 return;
             }
             start_snapshot();
@@ -957,7 +950,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     const auto truncate_now = [&]() {
         interrupt();
         rollback(CheckpointTier::Global);
-        stopped = true;
+        enter(Busy::Stopped);
         stopped_at = eng.now();
     };
 
@@ -1033,7 +1026,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     // an ordinary event, so a tie still runs the older event first.
     schedule_step = [&]() {
         for (;;) {
-            if (stopped || down || wait != AsyncWait::None)
+            if (busy != Busy::Idle)
                 return;
             if (eng.now() > wall_limit) {
                 truncate_now();
@@ -1164,7 +1157,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         pump_fault = [&]() {
             const FaultEvent ev = faults.next();
             eng.scheduleAt(std::max(ev.when, eng.now()), [&, ev]() {
-                if (stopped)
+                if (busy == Busy::Stopped)
                     return; // queue drains; no further faults are pulled
                 rep.timeline.push_back(ev);
                 on_fault(ev);
@@ -1182,10 +1175,11 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     rep.engine_events = eng.eventsProcessed();
     // The engine clock can drift past the end while draining a trailing
     // (ignored) fault event; the recorded stop time is the true wall.
+    const bool stopped = busy == Busy::Stopped;
     rep.wall_seconds = timeToSeconds(stopped ? stopped_at : eng.now());
     rep.goodput_tflops_per_gpu =
         rep.wall_seconds > 0.0
-            ? flops_per_gpu_step_ *
+            ? base_.tflops_per_gpu * 1e12 * base_.step_seconds *
                   static_cast<double>(rep.steps_committed) /
                   rep.wall_seconds / 1e12
             : 0.0;

@@ -486,7 +486,6 @@ class TrainRunSim
     TrainStepReport base_;
     CheckpointModel ckpt_;
     RecoveryCostModel recovery_;
-    double flops_per_gpu_step_ = 0.0;
 
     // Lazy memos: each is filled on first use only, because the planner
     // builds one TrainRunSim per sweep cell and most cells never shrink,
@@ -508,7 +507,9 @@ class TrainRunSim
     // pending (async snapshot, drain in flight) | nv (latest NVMe
     // persist) | local (latest HBM peer mirror) | tentative (not yet
     // checkpointed). A checkpoint moves work toward committed; a fault
-    // discards the stages its restore tier does not cover.
+    // discards the stages its restore tier does not cover. One Busy
+    // value says what holds the foreground: a step or write, an outage,
+    // a drain stall, or the end of the run.
 };
 
 } // namespace llm4d

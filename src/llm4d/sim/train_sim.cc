@@ -47,6 +47,16 @@ deriveVirtualStages(const TrainJobConfig &cfg)
         1, ceilDiv(per_rank, cfg.layers_per_vstage));
 }
 
+/** Pre-computed per-(rank, vstage, mb) costs. */
+struct StageCostTable
+{
+    // [rank][vstage] base costs; per-mb attention variation applied on
+    // top via mb_fwd_scale / mb_bwd_scale.
+    std::vector<std::vector<StageCost>> base;
+    std::vector<double> mb_fwd_scale; ///< attention scaling per micro-batch
+    std::vector<double> mb_bwd_scale;
+};
+
 } // namespace
 
 TrainSim::TrainSim(TrainJobConfig cfg)
@@ -75,18 +85,6 @@ TrainSim::TrainSim(TrainJobConfig cfg)
     LLM4D_CHECK(cfg_.model.heads % cfg_.par.tp == 0,
                 "tp must divide attention heads");
 }
-
-/** Pre-computed per-(rank, vstage, mb) costs. */
-struct TrainSim::StageCostTable
-{
-    // [rank][vstage] base costs; per-mb attention variation applied on
-    // top via mb_attn_scale.
-    std::vector<std::vector<StageCost>> base;
-    std::vector<double> mb_fwd_scale; ///< attention scaling per micro-batch
-    std::vector<double> mb_bwd_scale;
-    double fwd_flops_per_rank = 0.0; ///< per micro-batch, mean over ranks
-    double bwd_flops_per_rank = 0.0;
-};
 
 TrainStepReport
 TrainSim::run() const

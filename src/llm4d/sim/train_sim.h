@@ -109,8 +109,6 @@ class TrainSim
     TrainStepReport run() const;
 
   private:
-    struct StageCostTable;
-
     TrainJobConfig cfg_;
     std::int64_t bs_ = 0;
     std::int64_t nmb_ = 0;

@@ -4,7 +4,8 @@
  * layout: each rank's program, rank-major, each rank in start order.
  * Swept over all three schedule kinds and many (pp, v, nmb, nc) shapes
  * with uneven, partly zero stage costs so that starts tie both across and
- * within ranks.
+ * within ranks. Also checks that a missing op always shows up in the
+ * legality check as a duplicate.
  */
 
 #include <algorithm>
@@ -139,6 +140,36 @@ TEST(ExecutorReference, RecordsAreTheSortedPerRankRecords)
             }
         }
         ASSERT_EQ(i, exec.records.size());
+    }
+}
+
+TEST(ExecutorReference, AMissingOpShowsAsADuplicate)
+{
+    // Each rank runs exactly 2·tmb ops over its own 2·tmb cells, so an op
+    // replaced by a copy of another op on the same rank drops one cell
+    // and repeats another. The structural check names the repeat.
+    for (const Schedule &s : sweepSchedules()) {
+        const ScheduleParams &p = s.params();
+        std::vector<std::vector<PipeOp>> progs;
+        for (std::int64_t r = 0; r < p.pp; ++r)
+            progs.push_back(s.program(r));
+        for (std::vector<PipeOp> &prog : progs) {
+            const std::size_t n = prog.size();
+            for (std::size_t i = 0; i < n; ++i) {
+                const PipeOp original = prog[i];
+                for (const std::size_t j : {(i + 1) % n, (i + n / 2) % n}) {
+                    prog[i] = prog[j];
+                    const LegalityResult res =
+                        checkSchedule(Schedule(s.kind(), p, progs));
+                    ASSERT_EQ(res.reason.rfind("duplicate ", 0), 0u)
+                        << scheduleKindName(s.kind()) << " pp=" << p.pp
+                        << " v=" << p.v << " nmb=" << p.nmb << " nc=" << p.nc
+                        << " op " << i << " := op " << j << ": "
+                        << res.reason;
+                    prog[i] = original;
+                }
+            }
+        }
     }
 }
 

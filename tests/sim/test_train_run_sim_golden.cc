@@ -9,6 +9,9 @@
  * floating-point addition, or moves one second between buckets, fails
  * here instead of silently moving the goodput tables.
  *
+ * The adaptive_regrow row, captured later, pins a placement-aware spare
+ * pool refilled through the regrow branch.
+ *
  * One value has moved on purpose since the capture: the HbmPeer
  * tier_restore_seconds of tiered_partial_restart, whose one shrink now
  * attributes its priced restore critical path instead of the total
@@ -153,6 +156,19 @@ goldenConfig(const std::string &name)
         cfg.policy.mode = RecoveryMode::WarmSpare;
         cfg.policy.spare_hosts = 8;
         cfg.policy.placement_migration = true;
+        cfg.repairs.gpu_repair_mean_hours = 0.2;
+        cfg.repairs.host_repair_mean_hours = 0.3;
+    } else if (name == "adaptive_regrow") {
+        // Placement-aware pool refilled through the regrow branch.
+        quiet(cfg);
+        cfg.total_steps = 2000;
+        cfg.seed = 2;
+        cfg.job.cluster.node.gpu.fatal_mtbf_hours = 2000.0;
+        cfg.policy.mode = RecoveryMode::WarmSpare;
+        cfg.policy.spare_hosts = 8;
+        cfg.policy.spare_placement = SparePlacementPolicy::Adaptive;
+        cfg.policy.placement_migration = true;
+        cfg.policy.allow_regrow = true;
         cfg.repairs.gpu_repair_mean_hours = 0.2;
         cfg.repairs.host_repair_mean_hours = 0.3;
     } else if (name == "async_rebalance") {
@@ -347,6 +363,15 @@ goldenReports()
           0x3fd5fa8cba4c31c3ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
           0x407a584a72d55f92ULL},
          {1, 2000, 882, 4, 68, 68, 65, 0, 0, 65, 0, 0, 0, 128, 72, 0, 0, 0, 72}},
+        {"adaptive_regrow",
+         {0x40da151e9cbef823ULL, 0x40c6d35400fa3225ULL, 0x40c6d35400fa3223ULL,
+          0x40a2bd53fda1268dULL, 0x4073ee70110a1382ULL, 0x40b5fd2fd5ddbc91ULL,
+          0x40970b5240f125b6ULL, 0x40873b5766bed0e1ULL, 0x40ab394061a651fcULL,
+          0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x408e618f6ad25bd6ULL, 0x40685ab217da385aULL, 0x407bd454f1d1f092ULL,
+          0x3fdc010a7fec8f52ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x40724b8908a265f2ULL},
+         {1, 2000, 727, 4, 46, 26, 24, 0, 0, 43, 0, 0, 0, 128, 50, 0, 0, 0, 50}},
         {"async_rebalance",
          {0x409c9056de0ed84fULL, 0x4073dead3359ceaaULL, 0x4073dead3359ceaaULL,
           0x404e2ac68eabf915ULL, 0x40179c18a4e78081ULL, 0x406947cdf53538b0ULL,
@@ -371,7 +396,7 @@ goldenReports()
 TEST(TrainRunSimGolden, ReportsAreBitIdentical)
 {
     const std::vector<GoldenReport> golden = goldenReports();
-    ASSERT_EQ(golden.size(), 11u);
+    ASSERT_EQ(golden.size(), 12u);
     for (const GoldenReport &want : golden) {
         SCOPED_TRACE(want.name);
         const TrainRunReport rep = TrainRunSim(goldenConfig(want.name)).run();
