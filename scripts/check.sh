@@ -20,7 +20,9 @@
 #                               # goodput benches' --smoke output) vs the
 #                               # bench/golden/ and examples/golden/ captures
 #   ./scripts/check.sh --perfbench # perfbench/ build, unit tests, and a
-#                               # 0.1 s correctness run per workload
+#                               # 0.1 s correctness run per workload whose
+#                               # block digests must match
+#                               # bench/golden/perfbench_blocks.txt
 #
 # Suites also carry ctest labels for targeted runs from build/:
 #   ctest -L plan | -L fault | -L sim | -L net    # one subsystem's suite
@@ -123,17 +125,24 @@ run_golden() {
 # The host-time benchmark (perfbench/, a standalone CMake package that
 # compiles ../src in Release): its unit tests, then one short untraced
 # run of every workload. The binary exits 0 even when ops fail or
-# digests diverge, so the verdict is read from its result line.
+# digests diverge, so the verdict is read from its result line. Each
+# run's `block` line (the digest of its first, fixed block of ops) is
+# diffed against bench/golden/perfbench_blocks.txt, so a change that
+# claims bit-identical simulator output is checked on all three
+# workloads too.
 run_perfbench() {
     echo "== perfbench: build + unit tests + short runs =="
     cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
     cmake --build .bench_build/perfbench -j "${jobs}"
     ctest --test-dir .bench_build/perfbench --output-on-failure
-    local failed=0 result
+    local failed=0 out result blocks=""
+    local capture=bench/golden/perfbench_blocks.txt
     for workload in step_sweep plan_worn run_long; do
-        result=$(./.bench_build/perfbench/llm4d_perfbench \
-            --workload "${workload}" --seed 1 --seconds 0.1 --trace 0 |
-            tail -n 1)
+        out=$(./.bench_build/perfbench/llm4d_perfbench \
+            --workload "${workload}" --seed 1 --seconds 0.1 --trace 0)
+        result=$(tail -n 1 <<< "${out}")
+        # A missing block line shows up in the digest diff below.
+        blocks+=$(grep '^block ' <<< "${out}" || true)$'\n'
         if [[ "${result}" == *'"correct": true'* ]]; then
             echo "ok   ${workload}"
         else
@@ -141,6 +150,12 @@ run_perfbench() {
             failed=1
         fi
     done
+    if diff -u "${capture}" <(printf '%s' "${blocks}"); then
+        echo "ok   block digests"
+    else
+        echo "FAIL block digests differ from ${capture}"
+        failed=1
+    fi
     return "${failed}"
 }
 

@@ -49,11 +49,9 @@ enum class CheckpointTier
 
 constexpr int kNumCheckpointTiers = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p tier: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(CheckpointTier tier);
-template <>
-[[nodiscard]] std::optional<CheckpointTier>
-tryParse<CheckpointTier>(std::string_view text);
 
 /**
  * Failure-domain query: do a tier's checkpoint copies survive a fault
@@ -166,8 +164,9 @@ class CheckpointModel
 
     /**
      * Background drain of a snapshot to the filesystem (including the
-     * durability metadata commit). Overlaps training steps; only its
-     * *completion* makes the checkpoint usable for rollback.
+     * durability metadata commit): the saveSeconds() write, overlapping
+     * training steps; only its *completion* makes the checkpoint usable
+     * for rollback.
      */
     [[nodiscard]] double drainSeconds() const;
 
@@ -187,7 +186,8 @@ class CheckpointModel
     /**
      * Restore from the HBM peer tier: replacement ranks pull their
      * shards back from the DP-peer mirrors (survivors reload their own
-     * in-HBM snapshot underneath that transfer). Requires hier.enabled.
+     * in-HBM snapshot underneath that transfer), at the
+     * hbmMirrorSeconds() price. Requires hier.enabled.
      */
     [[nodiscard]] double hbmRestoreSeconds() const;
 
@@ -201,9 +201,6 @@ class CheckpointModel
      * hier.enabled.
      */
     [[nodiscard]] double nvmeRestoreSeconds() const;
-
-    /** Write cost of one tier (Global == saveSeconds()). */
-    [[nodiscard]] double tierWriteSeconds(CheckpointTier tier) const;
 
     /** Restore cost of one tier (Global == loadSeconds()). */
     [[nodiscard]] double tierRestoreSeconds(CheckpointTier tier) const;

@@ -40,18 +40,6 @@ toString(FaultKind kind)
     LLM4D_PANIC("unreachable fault kind");
 }
 
-template <>
-std::optional<FaultKind>
-tryParse<FaultKind>(std::string_view text)
-{
-    for (int k = 0; k < kNumFaultKinds; ++k) {
-        const auto kind = static_cast<FaultKind>(k);
-        if (text == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
 const char *
 toString(BlastRadius radius)
 {
@@ -64,18 +52,6 @@ toString(BlastRadius radius)
         return "Host";
     }
     LLM4D_PANIC("unreachable blast radius");
-}
-
-template <>
-std::optional<BlastRadius>
-tryParse<BlastRadius>(std::string_view text)
-{
-    for (int r = 0; r < kNumBlastRadii; ++r) {
-        const auto radius = static_cast<BlastRadius>(r);
-        if (text == toString(radius))
-            return radius;
-    }
-    return std::nullopt;
 }
 
 BlastRadius

@@ -28,7 +28,6 @@
 
 #include "llm4d/fault/colocation_model.h"
 #include "llm4d/hw/gpu_spec.h"
-#include "llm4d/simcore/enum_text.h"
 #include "llm4d/simcore/rng.h"
 #include "llm4d/simcore/time.h"
 
@@ -45,11 +44,9 @@ enum class FaultKind
 
 constexpr int kNumFaultKinds = 4;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p kind: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(FaultKind kind);
-template <>
-[[nodiscard]] std::optional<FaultKind>
-tryParse<FaultKind>(std::string_view text);
 
 /**
  * Failure domain of a fault: the widest scope of *state* the fault
@@ -67,11 +64,9 @@ enum class BlastRadius
 
 constexpr int kNumBlastRadii = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p radius: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(BlastRadius radius);
-template <>
-[[nodiscard]] std::optional<BlastRadius>
-tryParse<BlastRadius>(std::string_view text);
 
 /** Failure-domain query: what state does a fault of this kind destroy? */
 [[nodiscard]] BlastRadius faultBlastRadius(FaultKind kind);

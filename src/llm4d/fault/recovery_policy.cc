@@ -12,8 +12,45 @@ namespace {
 
 constexpr double kBf16Bytes = 2.0;
 
-/** ZeRO-1 checkpoint state: FP32 master weights + two Adam moments. */
-constexpr double kOptimBytesPerParam = 12.0;
+/** Bytes of one model-parallel rank's state, shared by its dp*cp group. */
+struct MpRankBytes
+{
+    /** Replicated BF16 working weights. */
+    double bf16 = 0.0;
+
+    /** ZeRO-1 checkpoint state: FP32 master weights + two Adam moments
+     *  (the checkpoint's bytes per parameter). */
+    double state = 0.0;
+};
+
+MpRankBytes
+mpRankBytes(const ModelConfig &model, const ParallelismConfig &par,
+            const CheckpointModel &ckpt)
+{
+    const auto mp = static_cast<double>(par.modelParallelSize());
+    return {kBf16Bytes * static_cast<double>(model.totalParams()) / mp,
+            ckpt.totalBytes() / mp};
+}
+
+/** One rank of @p par's first dp*cp group gathering @p bytes from its
+ *  peers on @p cluster; 0 when the group has no peers. */
+double
+peerGatherSeconds(const ClusterSpec &cluster, const ParallelismConfig &par,
+                  std::int64_t bytes)
+{
+    if (par.dp * par.cp <= 1)
+        return 0.0;
+    const Topology topo(cluster);
+    const CollectiveModel coll(topo);
+    return coll.gatherTo(RankGrid(par).dpCpGroup(0), bytes);
+}
+
+RecoveryPolicy
+validated(RecoveryPolicy policy, const ClusterSpec &cluster)
+{
+    policy.validate(cluster);
+    return policy;
+}
 
 } // namespace
 
@@ -29,18 +66,6 @@ toString(RecoveryMode mode)
     LLM4D_PANIC("unreachable recovery mode");
 }
 
-template <>
-std::optional<RecoveryMode>
-tryParse<RecoveryMode>(std::string_view text)
-{
-    for (int i = 0; i < kNumRecoveryModes; ++i) {
-        const auto mode = static_cast<RecoveryMode>(i);
-        if (text == toString(mode))
-            return mode;
-    }
-    return std::nullopt;
-}
-
 const char *
 toString(CheckpointMode mode)
 {
@@ -51,18 +76,6 @@ toString(CheckpointMode mode)
         return "async";
     }
     LLM4D_PANIC("unreachable checkpoint mode");
-}
-
-template <>
-std::optional<CheckpointMode>
-tryParse<CheckpointMode>(std::string_view text)
-{
-    for (int i = 0; i < kNumCheckpointModes; ++i) {
-        const auto mode = static_cast<CheckpointMode>(i);
-        if (text == toString(mode))
-            return mode;
-    }
-    return std::nullopt;
 }
 
 RecoveryPolicy
@@ -124,13 +137,9 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
                                      CheckpointStorage storage,
                                      RecoveryPolicy policy)
     : model_(model), cluster_(cluster), par_(par), storage_(storage),
-      policy_(policy)
+      policy_(validated(policy, cluster_)),
+      ckpt_(model_, cluster_, par_, storage_)
 {
-    policy_.validate(cluster_);
-    const CheckpointModel ckpt(model_, cluster_, par_, storage_);
-    swap_load_seconds_ = ckpt.loadSeconds();
-    if (storage_.hier.enabled)
-        hbm_restore_seconds_ = ckpt.hbmRestoreSeconds();
     // The whole fleet restores from the last checkpoint in parallel
     // (the spare included); meanwhile the spare's ranks pull the
     // replicated BF16 working weights from their FSDP peers. The two
@@ -140,11 +149,9 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
         const CollectiveModel coll(topo);
         const RankGrid grid(par_);
         const std::int64_t group = par_.dp * par_.cp;
-        const double bf16_bytes_per_mp_rank =
-            kBf16Bytes * static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par_.modelParallelSize());
+        const MpRankBytes bytes = mpRankBytes(model_, par_, ckpt_);
         const auto peer_shard = static_cast<std::int64_t>(
-            bf16_bytes_per_mp_rank / static_cast<double>(group));
+            bytes.bf16 / static_cast<double>(group));
         weights_fetch_seconds_ = coll.gatherTo(grid.dpCpGroup(0), peer_shard);
         // Cross-pod spare: the same gather, but every byte funnels into
         // the replacement through the oversubscribed spine.
@@ -153,16 +160,27 @@ RecoveryCostModel::RecoveryCostModel(const ModelConfig &model,
         // Homecoming of a displaced rank: it lands on a repaired host in
         // its own pod and re-gathers its full FSDP state (BF16 weights +
         // its ZeRO shard) pod-locally, like a regrow fetch at full width.
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par_.modelParallelSize());
         const auto home_bytes = static_cast<std::int64_t>(
-            (bf16_bytes_per_mp_rank + group_state_bytes) /
-            static_cast<double>(group));
+            (bytes.bf16 + bytes.state) / static_cast<double>(group));
         migrate_home_gather_seconds_ =
             coll.gatherToAtLevel(NetLevel::Pod, group, home_bytes);
     }
+}
+
+const CheckpointModel &
+RecoveryCostModel::checkpointAt(std::int64_t dp) const
+{
+    if (dp == par_.dp)
+        return ckpt_;
+    auto it = shrunk_ckpt_.find(dp);
+    if (it == shrunk_ckpt_.end()) {
+        const ParallelismConfig par = shrunkPar(par_, dp);
+        it = shrunk_ckpt_
+                 .try_emplace(dp, model_, shrunkCluster(cluster_, par), par,
+                              storage_)
+                 .first;
+    }
+    return it->second;
 }
 
 CostBreakdown
@@ -201,14 +219,15 @@ RecoveryCostModel::priceSwap(const RecoveryCostRequest &req) const
         // A cross-pod replacement streams the peer mirrors through the
         // spine instead of pod RoCE, so the read slows by the
         // oversubscription ratio.
+        const double hbm_restore_s = ckpt_.hbmRestoreSeconds();
         cost.restore_seconds =
-            cross_pod ? hbm_restore_seconds_ * cluster_.spine_oversubscription
-                      : hbm_restore_seconds_;
+            cross_pod ? hbm_restore_s * cluster_.spine_oversubscription
+                      : hbm_restore_s;
         return cost;
     }
     // Global-tier swap: the fleet-wide filesystem restore is placement-
     // independent; only the peer gather sees the spare's path.
-    cost.restore_seconds = swap_load_seconds_;
+    cost.restore_seconds = ckpt_.loadSeconds();
     return cost;
 }
 
@@ -218,30 +237,21 @@ RecoveryCostModel::priceShrink(const RecoveryCostRequest &req) const
     const std::int64_t to_dp = req.to_dp;
     LLM4D_CHECK(to_dp >= 1 && to_dp < par_.dp,
                 "shrink target must drop at least one replica");
-    const ParallelismConfig par = shrunkPar(par_, to_dp);
-    const ClusterSpec cluster = shrunkCluster(cluster_, par);
-    const CheckpointModel ckpt(model_, cluster, par, storage_);
+    const CheckpointModel &ckpt = checkpointAt(to_dp);
     CostBreakdown cost;
     cost.reinit_seconds = policy_.swap_reinit_seconds;
     cost.restore_seconds = ckpt.tierRestoreSeconds(req.restore_tier);
     // Survivors re-partition the dropped replica's ZeRO shards: each
     // member of the (now smaller) dp*cp group grows its optimizer shard
     // and gathers the delta from peers while the sharded restore runs.
-    if (par.dp * par.cp > 1) {
-        const Topology topo(cluster);
-        const CollectiveModel coll(topo);
-        const RankGrid grid(par);
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
-        const double old_members =
-            static_cast<double>((to_dp + 1) * par.cp);
-        const double new_members = static_cast<double>(to_dp * par.cp);
-        const auto delta_bytes = static_cast<std::int64_t>(
-            group_state_bytes * (1.0 / new_members - 1.0 / old_members));
-        cost.gather_seconds = coll.gatherTo(grid.dpCpGroup(0), delta_bytes);
-    }
+    const ParallelismConfig par = shrunkPar(par_, to_dp);
+    const double group_state_bytes = mpRankBytes(model_, par, ckpt).state;
+    const double old_members = static_cast<double>((to_dp + 1) * par.cp);
+    const double new_members = static_cast<double>(to_dp * par.cp);
+    cost.gather_seconds = peerGatherSeconds(
+        shrunkCluster(cluster_, par), par,
+        static_cast<std::int64_t>(group_state_bytes *
+                                  (1.0 / new_members - 1.0 / old_members)));
     return cost;
 }
 
@@ -253,9 +263,7 @@ RecoveryCostModel::priceRegrow(const RecoveryCostRequest &req) const
                 "regrow target must add at least one replica and stay "
                 "within the configured dp of "
                     << par_.dp);
-    const ParallelismConfig par = shrunkPar(par_, to_dp);
-    const ClusterSpec cluster = shrunkCluster(cluster_, par);
-    const CheckpointModel ckpt(model_, cluster, par, storage_);
+    const CheckpointModel &ckpt = checkpointAt(to_dp);
     CostBreakdown cost;
     cost.reinit_seconds = policy_.swap_reinit_seconds;
     cost.restore_seconds = ckpt.loadSeconds();
@@ -264,22 +272,12 @@ RecoveryCostModel::priceRegrow(const RecoveryCostRequest &req) const
     // optimizer shard from FSDP peers while the whole (larger) fleet
     // re-partitions via the sharded restore. The longer path bounds the
     // outage; NCCL re-initializes at the regrown world either way.
-    if (par.dp * par.cp > 1) {
-        const Topology topo(cluster);
-        const CollectiveModel coll(topo);
-        const RankGrid grid(par);
-        const double bf16_bytes_per_mp_rank =
-            kBf16Bytes * static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
-        const double group_state_bytes =
-            kOptimBytesPerParam *
-            static_cast<double>(model_.totalParams()) /
-            static_cast<double>(par.modelParallelSize());
-        const double new_members = static_cast<double>(to_dp * par.cp);
-        const auto fetch_bytes = static_cast<std::int64_t>(
-            (bf16_bytes_per_mp_rank + group_state_bytes) / new_members);
-        cost.gather_seconds = coll.gatherTo(grid.dpCpGroup(0), fetch_bytes);
-    }
+    const ParallelismConfig par = shrunkPar(par_, to_dp);
+    const MpRankBytes bytes = mpRankBytes(model_, par, ckpt);
+    const double new_members = static_cast<double>(to_dp * par.cp);
+    cost.gather_seconds = peerGatherSeconds(
+        shrunkCluster(cluster_, par), par,
+        static_cast<std::int64_t>((bytes.bf16 + bytes.state) / new_members));
     return cost;
 }
 

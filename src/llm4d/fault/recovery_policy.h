@@ -26,6 +26,7 @@
  */
 
 #include <cstdint>
+#include <map>
 
 #include "llm4d/fault/checkpoint_model.h"
 #include "llm4d/fault/spare_placement.h"
@@ -33,7 +34,6 @@
 #include "llm4d/model/model_config.h"
 #include "llm4d/net/topology.h"
 #include "llm4d/parallel/parallelism.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -53,11 +53,9 @@ enum class RecoveryMode
 
 constexpr int kNumRecoveryModes = 2;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p mode: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(RecoveryMode mode);
-template <>
-[[nodiscard]] std::optional<RecoveryMode>
-tryParse<RecoveryMode>(std::string_view text);
 
 /** How checkpoints are taken. */
 enum class CheckpointMode
@@ -68,11 +66,9 @@ enum class CheckpointMode
 
 constexpr int kNumCheckpointModes = 2;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p mode: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(CheckpointMode mode);
-template <>
-[[nodiscard]] std::optional<CheckpointMode>
-tryParse<CheckpointMode>(std::string_view text);
 
 /** Full recovery behavior of one training run. */
 struct RecoveryPolicy
@@ -248,7 +244,10 @@ struct CostBreakdown
 /**
  * Prices the one-time transition costs of each recovery path for one
  * job. All network terms go through CollectiveModel over the job's
- * actual topology; storage terms through CheckpointModel.
+ * actual topology; storage terms through CheckpointModel at the DP
+ * width the transition lands on. checkpointAt() owns the one
+ * CheckpointModel per width, so the run simulator's saves and this
+ * model's restores read the same prices.
  */
 class RecoveryCostModel
 {
@@ -258,6 +257,14 @@ class RecoveryCostModel
                       CheckpointStorage storage, RecoveryPolicy policy);
 
     [[nodiscard]] const RecoveryPolicy &policy() const { return policy_; }
+
+    /**
+     * Checkpoint pricing with DP shrunk (or regrown) to @p dp replicas,
+     * on the hosts that layout occupies. The configured width is built
+     * with the model; other widths are built on first use and kept, so
+     * a reference stays valid for the model's lifetime.
+     */
+    [[nodiscard]] const CheckpointModel &checkpointAt(std::int64_t dp) const;
 
     /**
      * Price one recovery transition. The single entry point for every
@@ -286,11 +293,11 @@ class RecoveryCostModel
     CheckpointStorage storage_;
     RecoveryPolicy policy_;
 
-    /** ckpt.loadSeconds() at the configured layout. */
-    double swap_load_seconds_ = 0.0;
+    /** Checkpoint pricing at the configured width (par_.dp). */
+    CheckpointModel ckpt_;
 
-    /** ckpt.hbmRestoreSeconds(); 0 unless storage.hier.enabled. */
-    double hbm_restore_seconds_ = 0.0;
+    /** Checkpoint pricing at other widths, filled by checkpointAt(). */
+    mutable std::map<std::int64_t, CheckpointModel> shrunk_ckpt_;
 
     /** BF16 weights gather at the group's own level / forced Spine. */
     double weights_fetch_seconds_ = 0.0;

@@ -18,18 +18,6 @@ toString(SparePlacementPolicy policy)
     LLM4D_PANIC("unreachable spare placement policy");
 }
 
-template <>
-std::optional<SparePlacementPolicy>
-tryParse<SparePlacementPolicy>(std::string_view text)
-{
-    for (int i = 0; i < kNumSparePlacementPolicies; ++i) {
-        const auto policy = static_cast<SparePlacementPolicy>(i);
-        if (text == toString(policy))
-            return policy;
-    }
-    return std::nullopt;
-}
-
 SparePool::SparePool(const ClusterSpec &cluster,
                      SparePlacementPolicy policy, std::int64_t spare_hosts)
     : policy_(policy), nodes_per_pod_(cluster.nodes_per_pod),

@@ -27,7 +27,6 @@
 
 #include "llm4d/hw/gpu_spec.h"
 #include "llm4d/net/topology.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -55,11 +54,9 @@ enum class SparePlacementPolicy
 
 constexpr int kNumSparePlacementPolicies = 3;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p policy: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(SparePlacementPolicy policy);
-template <>
-[[nodiscard]] std::optional<SparePlacementPolicy>
-tryParse<SparePlacementPolicy>(std::string_view text);
 
 /** Outcome of claiming the nearest spare to a failed host. */
 struct SpareClaim

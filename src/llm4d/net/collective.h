@@ -31,11 +31,9 @@ enum class CollectiveKind
 
 constexpr int kNumCollectiveKinds = 6;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p kind: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(CollectiveKind kind);
-template <>
-[[nodiscard]] std::optional<CollectiveKind>
-tryParse<CollectiveKind>(std::string_view text);
 
 /** Cost models for collectives over a given topology. */
 class CollectiveModel

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "llm4d/hw/gpu_spec.h"
-#include "llm4d/simcore/enum_text.h"
 
 namespace llm4d {
 
@@ -31,10 +30,9 @@ enum class NetLevel
 
 constexpr int kNumNetLevels = 4;
 
-/** toString/tryParse per the project convention (simcore/enum_text.h). */
+/** Display name of @p level: distinct per enumerator; panics on a
+ *  corrupted value. */
 const char *toString(NetLevel level);
-template <>
-[[nodiscard]] std::optional<NetLevel> tryParse<NetLevel>(std::string_view text);
 
 /** Maps global ranks onto the cluster hierarchy and rates links. */
 class Topology

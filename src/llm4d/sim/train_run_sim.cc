@@ -124,7 +124,6 @@ mergeStragglerOnset(double tracked_speed,
 TrainRunSim::TrainRunSim(TrainRunConfig cfg)
     : cfg_(validated(std::move(cfg))),
       base_(TrainSim(cfg_.job).run()),
-      ckpt_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par, cfg_.storage),
       recovery_(cfg_.job.model, cfg_.job.cluster, cfg_.job.par,
                 cfg_.storage, cfg_.policy)
 {
@@ -142,11 +141,12 @@ TrainRunSim::blockingSaveSeconds() const
     // With hierarchical tiers every checkpoint boundary blocks only for
     // the HBM peer mirror (the NVMe/global persists ride the configured
     // cadences), so that is the Young–Daly C.
+    const CheckpointModel &ckpt = checkpoint();
     if (cfg_.storage.hier.enabled)
-        return ckpt_.hbmMirrorSeconds();
+        return ckpt.hbmMirrorSeconds();
     return cfg_.policy.checkpoint_mode == CheckpointMode::Async
-               ? ckpt_.snapshotSeconds()
-               : ckpt_.saveSeconds();
+               ? ckpt.snapshotSeconds()
+               : ckpt.saveSeconds();
 }
 
 std::int64_t
@@ -265,40 +265,6 @@ TrainRunSim::nicSlowdown(double capacity) const
         nic_bps, nic_bps /* a 1-second reference transfer */, capacity, 0,
         secondsToTime(1e6));
     return 1.0 + (xfer_slowdown - 1.0) * nic_share;
-}
-
-const CheckpointModel &
-TrainRunSim::checkpointAt(std::int64_t dp) const
-{
-    if (dp == cfg_.job.par.dp)
-        return ckpt_;
-    const auto it = shrunk_ckpt_cache_.find(dp);
-    if (it != shrunk_ckpt_cache_.end())
-        return it->second;
-    const ParallelismConfig par =
-        RecoveryCostModel::shrunkPar(cfg_.job.par, dp);
-    const ClusterSpec cluster =
-        RecoveryCostModel::shrunkCluster(cfg_.job.cluster, par);
-    return shrunk_ckpt_cache_
-        .emplace(dp, CheckpointModel(cfg_.job.model, cluster, par,
-                                     cfg_.storage))
-        .first->second;
-}
-
-const CostBreakdown &
-TrainRunSim::recoveryCost(RecoveryCostRequest::Kind kind, std::int64_t to_dp,
-                          CheckpointTier restore_tier) const
-{
-    const RecoveryCostKey key{kind, to_dp, restore_tier};
-    const auto it = recovery_cost_cache_.find(key);
-    if (it != recovery_cost_cache_.end())
-        return it->second;
-    RecoveryCostRequest req;
-    req.kind = kind;
-    req.to_dp = to_dp;
-    req.restore_tier = restore_tier;
-    return recovery_cost_cache_.emplace(key, recovery_.price(req))
-        .first->second;
 }
 
 double
@@ -740,8 +706,8 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
           case RecoveryPath::Shrink: {
             --dp_now;
             ++rep.dp_shrinks;
-            const CostBreakdown &cost = recoveryCost(
-                RecoveryCostRequest::Kind::Shrink, dp_now, tier);
+            const CostBreakdown cost = recovery_.price(
+                {RecoveryCostRequest::Kind::Shrink, dp_now, tier});
             tier_restore_s += cost.restoreCriticalSeconds();
             begin_outage(detection_s, cost.totalSeconds(),
                          &rep.shrink_seconds, true);
@@ -749,7 +715,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
           }
           case RecoveryPath::Restart: {
             ++rep.restarts;
-            const CheckpointModel &ckpt = checkpointAt(dp_now);
+            const CheckpointModel &ckpt = recovery_.checkpointAt(dp_now);
             const double load_s = tier == CheckpointTier::HostLocal
                                       ? ckpt.nvmeRestoreSeconds()
                                       : ckpt.loadSeconds();
@@ -787,7 +753,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             }
             begin_outage(
                 0.0,
-                recoveryCost(RecoveryCostRequest::Kind::MigrateHome)
+                recovery_.price({RecoveryCostRequest::Kind::MigrateHome})
                     .totalSeconds(),
                 &rep.displacement_seconds, true);
             return true;
@@ -816,7 +782,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         rep.dp_regrows += grew;
         begin_outage(
             0.0,
-            recoveryCost(RecoveryCostRequest::Kind::Regrow, dp_now)
+            recovery_.price({RecoveryCostRequest::Kind::Regrow, dp_now})
                 .totalSeconds(),
             &rep.regrow_seconds, true);
         return true;
@@ -855,7 +821,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
     };
 
     const auto start_snapshot = [&]() {
-        const double snap_s = checkpointAt(dp_now).snapshotSeconds();
+        const double snap_s = recovery_.checkpointAt(dp_now).snapshotSeconds();
         start_work(snap_s, [&, snap_s]() {
             // Snapshot landed in host DRAM: the steps it covers move to
             // the pending (snapshotted, not yet durable) stage and the
@@ -866,7 +832,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             pending.absorb(nv);
             drain_active = true;
             drain_event = eng.schedule(
-                secondsToTime(checkpointAt(dp_now).drainSeconds()),
+                secondsToTime(recovery_.checkpointAt(dp_now).drainSeconds()),
                 [&]() { on_drain_done(); });
             after_checkpoint();
         });
@@ -900,7 +866,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
             start_snapshot();
             return;
         }
-        const double save_s = checkpointAt(dp_now).saveSeconds();
+        const double save_s = recovery_.checkpointAt(dp_now).saveSeconds();
         start_work(save_s, [&, save_s]() {
             rep.checkpoint_seconds += save_s;
             fold_local();
@@ -1000,7 +966,7 @@ TrainRunSim::runWithInterval(std::int64_t interval_steps) const
         const bool global_b = (ckpt_boundary + 1) % hier.global_every == 0;
         const bool nvme_b =
             global_b || (ckpt_boundary + 1) % hier.nvme_every == 0;
-        const CheckpointModel &ckpt = checkpointAt(dp_now);
+        const CheckpointModel &ckpt = recovery_.checkpointAt(dp_now);
         const double local_s = ckpt.hbmMirrorSeconds() +
                                (nvme_b ? ckpt.nvmeWriteSeconds() : 0.0);
         start_work(local_s, [&, local_s, nvme_b, global_b]() {

@@ -54,7 +54,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -387,8 +386,12 @@ class TrainRunSim
     /** The fault-free per-step report the run is built on. */
     [[nodiscard]] const TrainStepReport &baseStep() const { return base_; }
 
-    /** Checkpoint save/load pricing in use. */
-    [[nodiscard]] const CheckpointModel &checkpoint() const { return ckpt_; }
+    /** Checkpoint save/load pricing at the configured DP width: the
+     *  one recovery() prices swaps with. */
+    [[nodiscard]] const CheckpointModel &checkpoint() const
+    {
+        return recovery_.checkpointAt(cfg_.job.par.dp);
+    }
 
     /** Cluster-level mean time between fault events, seconds. */
     [[nodiscard]] double mtbfSeconds() const;
@@ -429,14 +432,6 @@ class TrainRunSim
 
   private:
     /**
-     * Recovery-cost memo key: the request fields that shrink, regrow and
-     * migrate-home pricing reads (kind, to_dp, restore_tier). Swaps are
-     * priced per claim instead, since their spare path varies.
-     */
-    using RecoveryCostKey =
-        std::tuple<RecoveryCostRequest::Kind, std::int64_t, CheckpointTier>;
-
-    /**
      * Step seconds with the whole active-straggler set @p active
      * ((rank, speed) pairs) injected into *one* TrainSim rerun. The
      * synchronized step pays the compounded cost of every slow stage at
@@ -466,16 +461,6 @@ class TrainRunSim
      */
     double nicSlowdown(double capacity) const;
 
-    /** Checkpoint pricing at DP degree @p dp (ckpt_ when @p dp is the
-     *  configured degree, memoized otherwise). */
-    const CheckpointModel &checkpointAt(std::int64_t dp) const;
-
-    /** Priced shrink, regrow or migrate-home transition (memoized on
-     *  RecoveryCostKey). */
-    const CostBreakdown &
-    recoveryCost(RecoveryCostRequest::Kind kind, std::int64_t to_dp = 0,
-                 CheckpointTier restore_tier = CheckpointTier::Global) const;
-
     /** Activation headroom on the straggler's DP peers at the current
      *  DP degree @p dp, in units of one stage micro-batch (how many
      *  extra in-flight micro-batches the tightest peer can absorb). */
@@ -484,12 +469,14 @@ class TrainRunSim
 
     TrainRunConfig cfg_;
     TrainStepReport base_;
-    CheckpointModel ckpt_;
+    /** Recovery pricing, and the checkpoint pricing at every DP width
+     *  the run reaches (recovery_.checkpointAt). */
     RecoveryCostModel recovery_;
 
-    // Lazy memos: each is filled on first use only, because the planner
-    // builds one TrainRunSim per sweep cell and most cells never shrink,
-    // regrow or see a straggler.
+    // Lazy TrainSim memos: each is filled on first use only, because the
+    // planner builds one TrainRunSim per sweep cell and most cells never
+    // shrink, regrow or see a straggler. Recovery transitions are not
+    // memoized: shrinks and regrows are rare next to steps and saves.
 
     /** TrainSim reruns per active-straggler *set*, keyed by the sorted
      *  (representative rank, speed) vector. */
@@ -497,10 +484,6 @@ class TrainRunSim
         degraded_cache_;
     /** Fault-free step reports at shrunk/regrown DP degrees. */
     mutable std::map<std::int64_t, TrainStepReport> shrunk_report_cache_;
-    /** Checkpoint models at shrunk/regrown DP degrees. */
-    mutable std::map<std::int64_t, CheckpointModel> shrunk_ckpt_cache_;
-    /** The one recovery-cost memo (see RecoveryCostKey). */
-    mutable std::map<RecoveryCostKey, CostBreakdown> recovery_cost_cache_;
 
     // runWithInterval's run state lives in its own frame, not here: a
     // work ledger of stages, oldest -> newest, committed (durable) |

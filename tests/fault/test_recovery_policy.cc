@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
 
 namespace llm4d {
 namespace {
@@ -70,22 +72,22 @@ TEST(RecoveryPolicy, ElasticPresetEnablesTheFullMitigationStack)
     EXPECT_FALSE(policy.placementAware());
 }
 
-TEST(RecoveryPolicy, EnumTextRoundTrips)
+TEST(RecoveryPolicy, EnumTextIsDistinct)
 {
     EXPECT_STREQ(toString(RecoveryMode::FullRestart), "full-restart");
     EXPECT_STREQ(toString(RecoveryMode::WarmSpare), "warm-spare");
     EXPECT_STREQ(toString(CheckpointMode::Sync), "sync");
     EXPECT_STREQ(toString(CheckpointMode::Async), "async");
-    for (int m = 0; m < kNumRecoveryModes; ++m) {
-        const auto mode = static_cast<RecoveryMode>(m);
-        EXPECT_EQ(tryParse<RecoveryMode>(toString(mode)), mode);
-    }
-    for (int m = 0; m < kNumCheckpointModes; ++m) {
-        const auto mode = static_cast<CheckpointMode>(m);
-        EXPECT_EQ(tryParse<CheckpointMode>(toString(mode)), mode);
-    }
-    EXPECT_EQ(tryParse<RecoveryMode>("no-such-mode"), std::nullopt);
-    EXPECT_EQ(tryParse<CheckpointMode>(""), std::nullopt);
+    std::set<std::string> modes;
+    for (int i = 0; i < kNumRecoveryModes; ++i)
+        modes.insert(toString(static_cast<RecoveryMode>(i)));
+    EXPECT_EQ(modes.size(), static_cast<std::size_t>(kNumRecoveryModes));
+    EXPECT_FALSE(modes.contains(""));
+    std::set<std::string> ckpt_modes;
+    for (int i = 0; i < kNumCheckpointModes; ++i)
+        ckpt_modes.insert(toString(static_cast<CheckpointMode>(i)));
+    EXPECT_EQ(ckpt_modes.size(), static_cast<std::size_t>(kNumCheckpointModes));
+    EXPECT_FALSE(ckpt_modes.contains(""));
 }
 
 TEST(RecoveryPolicy, PlacementAwareTracksPolicyAndMigration)
@@ -256,6 +258,40 @@ TEST(RecoveryCostModel, ShrinkFromLocalTierNeverCostsMore)
         costs.price(shrinkRequest(f.par.dp - 1, CheckpointTier::HostLocal))
             .totalSeconds(),
         global);
+}
+
+TEST(RecoveryCostModel, OwnsOneCheckpointModelPerWidth)
+{
+    // Every restore is priced from the CheckpointModel checkpointAt()
+    // hands out for the width the transition lands on, so a run that
+    // saves through checkpointAt() restores at the same prices. The
+    // comparisons are exact: the prices must be the same numbers, not
+    // merely close ones.
+    const Fixture f;
+    CheckpointStorage storage = f.storage;
+    storage.hier.enabled = true;
+    const RecoveryCostModel costs(f.model, f.cluster, f.par, storage,
+                                  RecoveryPolicy::elastic(0));
+    const std::int64_t width = f.par.dp - 1;
+    const CheckpointModel &configured = costs.checkpointAt(f.par.dp);
+    const CheckpointModel &shrunk = costs.checkpointAt(width);
+    EXPECT_EQ(&costs.checkpointAt(f.par.dp), &configured);
+    EXPECT_EQ(&costs.checkpointAt(width), &shrunk);
+    EXPECT_NE(&shrunk, &configured);
+    // Fewer hosts hold the same bytes: the shrunk width's load differs.
+    EXPECT_NE(shrunk.loadSeconds(), configured.loadSeconds());
+    for (const CheckpointTier tier :
+         {CheckpointTier::Global, CheckpointTier::HbmPeer}) {
+        SCOPED_TRACE(toString(tier));
+        EXPECT_EQ(costs.price(shrinkRequest(width, tier)).restore_seconds,
+                  shrunk.tierRestoreSeconds(tier));
+    }
+    EXPECT_EQ(costs.price(regrowRequest(width)).restore_seconds,
+              shrunk.loadSeconds());
+    EXPECT_EQ(costs.price(regrowRequest(f.par.dp)).restore_seconds,
+              configured.loadSeconds());
+    EXPECT_EQ(costs.price(swapRequest()).restore_seconds,
+              configured.loadSeconds());
 }
 
 TEST(RecoveryCostModel, ShrunkLayoutDropsWholeReplicaGroups)

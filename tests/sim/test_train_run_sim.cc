@@ -148,6 +148,16 @@ TEST(TrainRunSim, FaultFreeRunPaysOnlyCheckpoints)
     EXPECT_GT(rep.availability, 0.95);
 }
 
+TEST(TrainRunSim, SavesAndRecoveriesShareOneCheckpointModel)
+{
+    // The run's saves and its recovery prices read one CheckpointModel
+    // per DP width, owned by the recovery cost model.
+    const TrainRunConfig cfg = baseConfig();
+    const TrainRunSim sim(cfg);
+    EXPECT_EQ(&sim.checkpoint(),
+              &sim.recovery().checkpointAt(cfg.job.par.dp));
+}
+
 TEST(TrainRunSim, RunsAreDeterministic)
 {
     // Same config + seed must reproduce the run bit-for-bit, including

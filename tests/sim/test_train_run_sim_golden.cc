@@ -10,7 +10,9 @@
  * here instead of silently moving the goodput tables.
  *
  * The adaptive_regrow row, captured later, pins a placement-aware spare
- * pool refilled through the regrow branch.
+ * pool refilled through the regrow branch. The tiered_shrink_restart
+ * row, captured after it, pins tier writes and restores priced at a
+ * shrunk DP width.
  *
  * One value has moved on purpose since the capture: the HbmPeer
  * tier_restore_seconds of tiered_partial_restart, whose one shrink now
@@ -171,6 +173,20 @@ goldenConfig(const std::string &name)
         cfg.policy.allow_regrow = true;
         cfg.repairs.gpu_repair_mean_hours = 0.2;
         cfg.repairs.host_repair_mean_hours = 0.3;
+    } else if (name == "tiered_shrink_restart") {
+        // No spares: a tiered DP shrink from dp 4 to 3 (HBM peer
+        // restore), then full restarts that mirror, persist to NVMe and
+        // restore from it at the shrunk width.
+        cfg = small512();
+        cfg.total_steps = 1000;
+        cfg.checkpoint_interval_steps = 40;
+        cfg.seed = 1;
+        cfg.job.cluster.node.gpu.fatal_mtbf_hours = 400.0;
+        cfg.job.cluster.node.host_mtbf_hours = 2000.0;
+        cfg.storage.hier.enabled = true;
+        cfg.policy.mode = RecoveryMode::WarmSpare;
+        cfg.policy.allow_dp_shrink = true;
+        cfg.policy.partial_restart = true;
     } else if (name == "async_rebalance") {
         // Straggler rebalance pauses interrupted by fatal faults.
         cfg = small512();
@@ -372,6 +388,15 @@ goldenReports()
           0x3fdc010a7fec8f52ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
           0x40724b8908a265f2ULL},
          {1, 2000, 727, 4, 46, 26, 24, 0, 0, 43, 0, 0, 0, 128, 50, 0, 0, 0, 50}},
+        {"tiered_shrink_restart",
+         {0x40bf9679391cbd62ULL, 0x40b4b29f157d8c9cULL, 0x40b4b29f157d8c9cULL,
+          0x4059d26f90f630acULL, 0x40735bd8ee930298ULL, 0x40996c8824e53682ULL,
+          0x405e000000000000ULL, 0x4081b9d376c77957ULL, 0x0000000000000000ULL,
+          0x404e3b2f2c3752f1ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x406e2a1e86e25c68ULL, 0x4077048b19111896ULL,
+          0x3fe4f7c461b67ceeULL, 0x3fdd97961ba9789cULL, 0x403b3a6ed8ef2aeeULL,
+          0x0000000000000000ULL},
+         {1, 1000, 299, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 4, 0, 0, 0, 4}},
         {"async_rebalance",
          {0x409c9056de0ed84fULL, 0x4073dead3359ceaaULL, 0x4073dead3359ceaaULL,
           0x404e2ac68eabf915ULL, 0x40179c18a4e78081ULL, 0x406947cdf53538b0ULL,
@@ -396,7 +421,7 @@ goldenReports()
 TEST(TrainRunSimGolden, ReportsAreBitIdentical)
 {
     const std::vector<GoldenReport> golden = goldenReports();
-    ASSERT_EQ(golden.size(), 12u);
+    ASSERT_EQ(golden.size(), 13u);
     for (const GoldenReport &want : golden) {
         SCOPED_TRACE(want.name);
         const TrainRunReport rep = TrainRunSim(goldenConfig(want.name)).run();
@@ -405,6 +430,16 @@ TEST(TrainRunSimGolden, ReportsAreBitIdentical)
         EXPECT_EQ(reportCounters(rep), want.counters)
             << asInitializer(want.name, rep);
     }
+}
+
+TEST(TrainRunSimGolden, TieredShrinkRestartRunsAtTheShrunkWidth)
+{
+    // The row pins shrunk-width tier prices only while its run shrinks
+    // and then restarts at the shrunk width.
+    const TrainRunReport rep =
+        TrainRunSim(goldenConfig("tiered_shrink_restart")).run();
+    EXPECT_GE(rep.dp_shrinks, 1);
+    EXPECT_GE(rep.restarts, 1);
 }
 
 } // namespace
